@@ -32,7 +32,8 @@ executors agree bit-for-bit.
 
 ``batch.execute`` is a fault-injection site (see :mod:`repro.faults`): an
 injected failure — or any group-level setup failure — degrades the group to
-per-instance ``Framework`` runs (``batch.degraded``), never to a crash.
+per-instance ``Framework`` runs (the ``batch`` tier of :mod:`repro.tiers`),
+never to a crash.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from ..faults import check_fault
 from ..kernels import generic_span, plan_for
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
+from ..tiers import annotate, attempt
 from .planner import BatchGroup, BatchItem
 
 __all__ = ["execute_group", "execute_items"]
@@ -82,20 +84,27 @@ def execute_group(
     metrics.histogram("batch.size").observe(size)
     if size == 1:
         return [_solo_outcome(items[0], framework)]
-    try:
+
+    def stacked():
         check_fault("batch.execute")
         return _execute_stack(group, framework)
-    except Exception:
-        # The batch layer is an optimization, never a requirement: any
-        # group-level failure (injected fault, estimate error, allocation)
-        # degrades to per-instance runs with full Framework semantics.
-        metrics.counter("batch.degraded").inc()
-        return [_solo_outcome(item, framework) for item in items]
+
+    # The batch layer is an optimization, never a requirement: any
+    # group-level failure (injected fault, estimate error, allocation)
+    # degrades to per-instance runs with full Framework semantics.
+    trail: list = []
+    outcomes = attempt(
+        trail, "batch", stacked,
+        executor=items[0].executor, problem=items[0].problem.name,
+    )
+    if outcomes is not None:
+        return outcomes
+    return [_solo_outcome(item, framework, trail) for item in items]
 
 
-def _solo_outcome(item: BatchItem, framework: Framework):
+def _solo_outcome(item: BatchItem, framework: Framework, trail=()):
     try:
-        return _solo(item, framework)
+        return annotate(_solo(item, framework), trail)
     except BaseException as exc:  # noqa: BLE001 - outcome, not control flow
         return exc
 

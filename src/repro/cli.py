@@ -180,12 +180,16 @@ def _cmd_solve(args) -> int:
     print(f"simulated : {res.simulated_ms:.3f} ms")
     for key in ("t_switch", "t_share", "cpu_utilization", "gpu_utilization",
                 "schedule", "worker_occupancy", "max_queue_depth", "solver",
-                "scan_path", "degraded", "degraded_reason",
-                "scan_degraded_reason", "delta_seeds", "delta_cone_cells",
-                "delta_cone_fraction", "delta_degraded_reason"):
+                "scan_path", "degraded", "delta_seeds", "delta_cone_cells",
+                "delta_cone_fraction"):
         if key in res.stats:
             val = res.stats[key]
             print(f"{key:10s}: {val:.3f}" if isinstance(val, float) else f"{key:10s}: {val}")
+    if "tiers" in res.stats:
+        print("tiers     : " + "; ".join(
+            f"{e['tier']} {e['outcome']} ({e['reason']})"
+            for e in res.stats["tiers"]
+        ))
     if res.table is not None:
         print(f"table     : shape={res.table.shape} dtype={res.table.dtype} "
               f"corner={res.table[-1, -1]}")
@@ -302,7 +306,7 @@ def _cmd_serve(args) -> int:
 
     hits = metrics.counter("serve.cache.hits").value
     misses = metrics.counter("serve.cache.misses").value
-    degraded = metrics.counter("serve.degraded").value
+    degraded = metrics.counter("device.degraded").value
     coalesced = metrics.counter("batch.coalesced").value
     latency = metrics.histogram("serve.latency_ms")
     print(f"platform  : {svc.framework.platform.name}")
@@ -314,8 +318,8 @@ def _cmd_serve(args) -> int:
     print(f"cache     : {hits} hits / {misses} misses"
           + (" (disabled)" if cache_size == 0 else ""))
     if args.delta:
-        delta_hits = metrics.counter("serve.cache.delta_hit").value
-        delta_degraded = metrics.counter("serve.cache.delta_degraded").value
+        delta_hits = metrics.counter("delta.solved").value
+        delta_degraded = metrics.counter("delta.degraded").value
         cache_stats = svc.cache.stats() if svc.cache is not None else {}
         print(f"delta     : {delta_hits} patched / "
               f"{cache_stats.get('delta_candidates', 0)} candidates, "

@@ -16,8 +16,9 @@ from ..faults import check_fault
 from ..kernels import generic_span, plan_for
 from ..machine.platform import Platform
 from ..memory.buffers import TransferLedger
-from ..obs import get_metrics, get_tracer
+from ..obs import get_metrics
 from ..sim.timeline import Timeline
+from ..tiers import annotate, attempt
 from ..types import Pattern
 
 __all__ = [
@@ -97,12 +98,6 @@ class ExecOptions:
         patching near-full tables costs more than resolving them). A
         tuning knob, excluded from the cache-key ``repr`` like
         ``dataflow_workers``.
-    degrade_to_cpu:
-        When the GPU machine model fails mid-run (a
-        :class:`~repro.errors.PlatformError` or injected fault), the
-        hetero/multi executors re-run the problem CPU-only instead of
-        raising (``serve.degraded`` metric, ``degraded`` stats entry). Off:
-        the failure surfaces.
     deadline:
         Absolute ``time.monotonic()`` deadline. Every executor checks it at
         wavefront boundaries and aborts with
@@ -127,7 +122,6 @@ class ExecOptions:
     scan: bool = True
     delta: bool = False
     delta_max_cone: float = field(default=0.5, repr=False, compare=False)
-    degrade_to_cpu: bool = True
     deadline: float | None = field(default=None, repr=False, compare=False)
     cancel_token: CancelToken | None = field(
         default=None, repr=False, compare=False
@@ -401,6 +395,9 @@ class Executor(ABC):
     """Common executor interface: functional solve or timing-only estimate."""
 
     name: str = "executor"
+    #: Failures that degrade :meth:`_run` to a CPU-only rerun (the device
+    #: tier of :mod:`repro.tiers`); empty for executors with no device.
+    device_faults: tuple[type[BaseException], ...] = ()
 
     def __init__(self, platform: Platform, options: ExecOptions | None = None) -> None:
         self.platform = platform
@@ -417,21 +414,17 @@ class Executor(ABC):
         Declared-linear problems (``LDDPProblem.linear``) are offered to the
         scan tier first (:mod:`repro.scan`) unless ``options.scan`` is off;
         a scan failure degrades to this executor's wavefront path —
-        bit-identical tables — with the reason recorded in
-        ``stats["scan_degraded_reason"]``. Deadline/cancel aborts surface
-        either way.
+        bit-identical tables — recorded in ``stats["tiers"]``
+        (:mod:`repro.tiers`). Deadline/cancel aborts surface either way.
         """
         problem.require_solvable()
         from ..scan.route import try_scan_solve  # local: repro.scan imports us
 
-        result, scan_reason = try_scan_solve(self, problem)
-        if result is not None:
-            return result
-        result = self._run(problem, functional=True, **kwargs)
-        if scan_reason is not None:
-            result.stats.setdefault("degraded", "wavefront")
-            result.stats["scan_degraded_reason"] = scan_reason
-        return result
+        trail: list = []
+        result = try_scan_solve(self, problem, trail)
+        if result is None:
+            result = self._run_device_tier(problem, True, trail, kwargs)
+        return annotate(result, trail)
 
     def estimate(self, problem: LDDPProblem, **kwargs) -> SolveResult:
         """Model the timing only; no table is allocated or filled.
@@ -440,7 +433,31 @@ class Executor(ABC):
         benchmarks sweep paper-scale sizes (16k-32k tables) without
         allocating gigabyte arrays.
         """
-        return self._run(problem, functional=False, **kwargs)
+        trail: list = []
+        result = self._run_device_tier(problem, False, trail, kwargs)
+        return annotate(result, trail)
+
+    def _run_device_tier(self, problem, functional, trail, kwargs) -> SolveResult:
+        """:meth:`_run`, rerun CPU-only when it fails with a device fault.
+
+        The CPU executor shares :func:`evaluate_span`, so a degraded run's
+        table is bit-identical — only the timing model changes. The result
+        keeps this executor's name.
+        """
+        if not self.device_faults:
+            return self._run(problem, functional, **kwargs)
+        result = attempt(
+            trail, "device", lambda: self._run(problem, functional, **kwargs),
+            executor=self.name, problem=problem.name, catch=self.device_faults,
+        )
+        if result is None:
+            from .cpu_exec import CPUExecutor  # local: avoid a module cycle
+
+            result = CPUExecutor(self.platform, self.options)._run(
+                problem, functional
+            )
+            result.executor = self.name
+        return result
 
     @abstractmethod
     def _run(self, problem: LDDPProblem, functional: bool, **kwargs) -> SolveResult:
@@ -454,33 +471,3 @@ class Executor(ABC):
     def _maybe_validate(self, timeline: Timeline) -> None:
         if self.options.validate_timeline:
             timeline.validate()
-
-    def _degrade_to_cpu(
-        self, problem: LDDPProblem, functional: bool, exc: BaseException
-    ) -> SolveResult:
-        """Re-run ``problem`` CPU-only after a device/transfer failure.
-
-        The CPU executor shares :func:`evaluate_span`, so a degraded run's
-        table is bit-identical to the heterogeneous one — only the timing
-        model changes. Counted as ``serve.degraded`` (plus a per-executor
-        ``exec.<name>.degraded``) and annotated with a ``<name>.degraded``
-        span; the result keeps the original executor name with
-        ``stats["degraded"] = "cpu-only"`` recording the fallback.
-        """
-        from .cpu_exec import CPUExecutor  # local: avoid a module cycle
-
-        reason = f"{type(exc).__name__}: {exc}"
-        metrics = get_metrics()
-        metrics.counter("serve.degraded").inc()
-        metrics.counter(f"exec.{self.name}.degraded").inc()
-        with get_tracer().span(
-            f"{self.name}.degraded", cat="degrade",
-            problem=problem.name, reason=reason,
-        ):
-            result = CPUExecutor(self.platform, self.options)._run(
-                problem, functional
-            )
-        result.executor = self.name
-        result.stats["degraded"] = "cpu-only"
-        result.stats["degraded_reason"] = reason
-        return result

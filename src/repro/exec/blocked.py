@@ -24,8 +24,8 @@ size and exposes the resulting U-curve.
 dependency-counted ready queue of :mod:`repro.dataflow` (a tile starts the
 moment its predecessor tiles finish), the timing model switches to the
 DES's list-scheduled dataflow mode, and any dataflow failure that is not a
-deadline/cancel degrades back to this barrier path bit-identically
-(``dataflow.degraded``).
+deadline/cancel degrades back to this barrier path bit-identically (the
+``dataflow`` tier of :mod:`repro.tiers`).
 """
 
 from __future__ import annotations
@@ -38,10 +38,11 @@ from ..core.blocking import Block, SkewedBlock, grid_for
 from ..core.cellfunc import EvalContext, gather_neighbors
 from ..core.problem import LDDPProblem
 from ..core.schedule import schedule_for
-from ..errors import ExecutionError, ServiceTimeout, SolveCancelled
+from ..errors import ExecutionError
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
+from ..tiers import annotate, attempt
 from .base import (
     ExecOptions,
     Executor,
@@ -208,13 +209,15 @@ class BlockedCPUExecutor(Executor):
     # -- dataflow path --------------------------------------------------------
 
     def _dataflow_run(
-        self, problem, pattern, grid, skewed, work, table, aux, functional
+        self, problem, pattern, grid, skewed, work, table, aux, functional,
+        trail,
     ):
         """Barrier-free execution + its DES model.
 
         Returns ``(timeline, total_done, num_tiles, extra_stats)``; a
-        non-control failure of the ready-queue sweep degrades to the barrier
-        path (fresh table, bit-identical result) and reports barrier timing.
+        non-control failure of the ready-queue sweep is the ``dataflow``
+        tier's degrade (:mod:`repro.tiers`, recorded on ``trail``): the
+        barrier path reruns on a fresh table and reports barrier timing.
         """
         from ..dataflow import dataflow_timeline, graph_for, run_dataflow
 
@@ -223,41 +226,30 @@ class BlockedCPUExecutor(Executor):
         stats: dict = {"schedule": "dataflow", "tiles": graph.num_nodes}
         total_done = 0
         if functional:
-            try:
-                df = run_dataflow(
+            df = attempt(
+                trail, "dataflow",
+                lambda: run_dataflow(
                     problem, pattern, table, aux, grid, graph,
                     workers=self.options.dataflow_workers,
                     fastpath=self.options.kernel_fastpath,
                     options=self.options,
+                ),
+                executor=self.name, problem=problem.name,
+            )
+            if df is None:
+                # A partially-written table is value-correct but start fresh
+                # anyway: the barrier rerun must not depend on how far the
+                # pool got.
+                table2 = problem.make_table()
+                aux2 = problem.make_aux()
+                total_done = self._barrier_sweep(
+                    problem, pattern, grid, skewed, table2, aux2
                 )
-            except (ServiceTimeout, SolveCancelled):
-                raise
-            except Exception as exc:
-                reason = f"{type(exc).__name__}: {exc}"
-                metrics = get_metrics()
-                metrics.counter("dataflow.degraded").inc()
-                metrics.counter(f"exec.{self.name}.degraded").inc()
-                with get_tracer().span(
-                    "dataflow.degraded", cat="degrade",
-                    problem=problem.name, reason=reason,
-                ):
-                    # A partially-written table is value-correct but start
-                    # fresh anyway: the barrier rerun must not depend on how
-                    # far the pool got.
-                    table2 = problem.make_table()
-                    aux2 = problem.make_aux()
-                    total_done = self._barrier_sweep(
-                        problem, pattern, grid, skewed, table2, aux2
-                    )
-                    table[...] = table2
-                    for k, arr in aux2.items():
-                        aux[k][...] = arr
+                table[...] = table2
+                for k, arr in aux2.items():
+                    aux[k][...] = arr
                 timeline, num_blocks = self._barrier_timeline(problem, grid, work)
-                stats.update(
-                    schedule="barrier",
-                    degraded="barrier",
-                    degraded_reason=reason,
-                )
+                stats["schedule"] = "barrier"
                 return timeline, total_done, num_blocks, stats
             total_done = df.cells
             stats.update(
@@ -295,6 +287,7 @@ class BlockedCPUExecutor(Executor):
 
         tracer = get_tracer()
         extra: dict = {}
+        trail: list = []
         with tracer.span(
             "cpu-blocked.solve", cat="executor",
             problem=problem.name, pattern=pattern.value, functional=functional,
@@ -303,7 +296,8 @@ class BlockedCPUExecutor(Executor):
         ):
             if dataflow:
                 timeline, total_done, num_blocks, extra = self._dataflow_run(
-                    problem, pattern, grid, skewed, work, table, aux, functional
+                    problem, pattern, grid, skewed, work, table, aux,
+                    functional, trail,
                 )
             else:
                 total_done = (
@@ -327,7 +321,7 @@ class BlockedCPUExecutor(Executor):
             "schedule": "dataflow" if dataflow else "barrier",
         }
         stats.update(extra)
-        return SolveResult(
+        return annotate(SolveResult(
             problem=problem.name,
             executor=self.name,
             pattern=pattern,
@@ -336,7 +330,7 @@ class BlockedCPUExecutor(Executor):
             aux=aux or {},
             timeline=timeline,
             stats=stats,
-        )
+        ), trail)
 
 
 register_executor("cpu-blocked", BlockedCPUExecutor)

@@ -30,10 +30,10 @@ iteration, and ``kernel`` / ``transfer`` spans per submission — see
 ``docs/observability.md``.
 
 Resilience: when the GPU or transfer model fails mid-run (a
-:class:`~repro.errors.PlatformError` or an injected fault) and
-``options.degrade_to_cpu`` is set, the run restarts CPU-only via
-:meth:`~repro.exec.base.Executor._degrade_to_cpu` — same table, CPU-only
-timing. Deadline/cancel control is checked once per assignment.
+:class:`~repro.errors.PlatformError` or an injected fault) the run restarts
+CPU-only — the device tier of :mod:`repro.tiers` (``device_faults``): same
+table, CPU-only timing. Deadline/cancel control is checked once per
+assignment.
 """
 
 from __future__ import annotations
@@ -71,21 +71,9 @@ _HALO_DEPTH: dict[Pattern, int] = {
 
 class HeteroExecutor(Executor):
     name = "hetero"
+    device_faults = (PlatformError, InjectedFault)
 
     def _run(
-        self,
-        problem: LDDPProblem,
-        functional: bool,
-        params: HeteroParams | None = None,
-    ) -> SolveResult:
-        try:
-            return self._run_hetero(problem, functional, params)
-        except (PlatformError, InjectedFault) as exc:
-            if not self.options.degrade_to_cpu:
-                raise
-            return self._degrade_to_cpu(problem, functional, exc)
-
-    def _run_hetero(
         self,
         problem: LDDPProblem,
         functional: bool,

@@ -12,8 +12,9 @@ each cut between adjacent non-empty segments:
 
 Resilience mirrors the two-device executor: an accelerator or link model
 failure (:class:`~repro.errors.PlatformError` or injected fault) degrades
-the run to CPU-only when ``options.degrade_to_cpu`` is set, and deadline /
-cancel control is checked once per assignment.
+the run to CPU-only (``device_faults``; ``MultiPlatform`` exposes the
+``.cpu`` the rerun needs), and deadline / cancel control is checked once
+per assignment.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class MultiHeteroExecutor(Executor):
     """
 
     name = "multi-hetero"
+    device_faults = (PlatformError, InjectedFault)
 
     def __init__(self, platform: MultiPlatform, options=None) -> None:
         # Deliberately not calling super().__init__: the platform type
@@ -74,20 +76,6 @@ class MultiHeteroExecutor(Executor):
         self.options = options or ExecOptions()
 
     def _run(
-        self,
-        problem: LDDPProblem,
-        functional: bool,
-        params: MultiParams | None = None,
-    ) -> SolveResult:
-        try:
-            return self._run_multi(problem, functional, params)
-        except (PlatformError, InjectedFault) as exc:
-            if not self.options.degrade_to_cpu:
-                raise
-            # MultiPlatform exposes .cpu, which is all CPUExecutor touches.
-            return self._degrade_to_cpu(problem, functional, exc)
-
-    def _run_multi(
         self,
         problem: LDDPProblem,
         functional: bool,

@@ -27,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim imports obs)
     from ..sim.timeline import Timeline
 
 __all__ = [
+    "check_finite",
     "span_events",
     "timeline_events",
     "chrome_trace",
@@ -86,6 +87,16 @@ def span_events(spans: Iterable[Span], pid: int = _LIVE_PID) -> list[dict[str, A
     return events
 
 
+def check_finite(timeline: "Timeline") -> None:
+    """Raise :class:`~repro.errors.SimulationError` on non-finite task times."""
+    for r in timeline:
+        if not (math.isfinite(r.start) and math.isfinite(r.end)):
+            raise SimulationError(
+                f"task {r.tid} ({r.label or 'unlabeled'}) has non-finite "
+                f"times start={r.start} end={r.end}; cannot export a trace"
+            )
+
+
 def timeline_events(timeline: "Timeline", pid: int = _SIM_PID) -> list[dict[str, Any]]:
     """A simulated timeline as Chrome events: one track per resource.
 
@@ -93,16 +104,12 @@ def timeline_events(timeline: "Timeline", pid: int = _SIM_PID) -> list[dict[str,
     rejected — a NaN-duration track silently renders as an empty trace, which
     is the worst possible failure mode for a timing tool.
     """
+    check_finite(timeline)
     events: list[dict[str, Any]] = [_meta(pid, "repro simulated timeline")]
     tids = {res: i for i, res in enumerate(timeline.resources)}
     for res, tid in tids.items():
         events.append(_meta(pid, res, tid, "thread_name"))
     for r in timeline:
-        if not (math.isfinite(r.start) and math.isfinite(r.end)):
-            raise SimulationError(
-                f"task {r.tid} ({r.label or 'unlabeled'}) has non-finite "
-                f"times start={r.start} end={r.end}; cannot export a trace"
-            )
         events.append(
             {
                 "name": r.label or f"task-{r.tid}",

@@ -11,20 +11,19 @@ level up. The contract:
   stays the independent oracle the scan is checked against.
 * **Degradation** — any scan failure (injected ``scan.solve`` fault,
   verification mismatch, solver bug) falls back to the wavefront path,
-  whose table is bit-identical by construction; the result carries
-  ``stats["scan_degraded_reason"]`` and ``scan.degraded`` counts it.
-  Deadline/cancel aborts (:class:`~repro.errors.ServiceTimeout`,
-  :class:`~repro.errors.SolveCancelled`) are *never* degraded — they
+  whose table is bit-identical by construction. It is the ``scan`` tier of
+  :mod:`repro.tiers`: ``scan.degraded`` counts it and ``stats["tiers"]``
+  records why. Deadline/cancel aborts are *never* degraded — they
   surface, exactly as on the wavefront path.
 """
 
 from __future__ import annotations
 
 from ..core.problem import LDDPProblem
-from ..errors import ServiceTimeout, SolveCancelled
 from ..faults import check_fault
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
+from ..tiers import attempt
 from .solver import scan_solve
 from .timing import scan_timeline
 
@@ -55,42 +54,38 @@ def scan_applicable(
     return True
 
 
-def try_scan_solve(executor, problem: LDDPProblem):
-    """Attempt a scan solve for ``executor``; returns ``(result, reason)``.
+def try_scan_solve(executor, problem: LDDPProblem, trail: list):
+    """Attempt a scan solve for ``executor``; the result or ``None``.
 
-    ``(SolveResult, None)`` on success; ``(None, None)`` when the scan tier
-    does not apply; ``(None, reason)`` when the scan was attempted and
-    failed — the caller runs its wavefront path and records ``reason``.
+    ``None`` when the scan tier does not apply, or when the scan was
+    attempted and failed — the failure is on ``trail`` and the caller runs
+    its wavefront path.
     """
     if problem.linear is None:
-        return None, None
+        return None
     from ..exec.base import SolveResult, check_control
 
     metrics = get_metrics()
     options = executor.options
     if not scan_applicable(problem, options, executor.name):
         metrics.counter("scan.declined").inc()
-        return None, None
+        return None
     check_control(options, f"solve of {problem.name!r}")
-    tracer = get_tracer()
-    try:
+
+    def run():
         check_fault("scan.solve")
-        with tracer.span(
+        with get_tracer().span(
             "scan.solve", cat="executor", problem=problem.name,
             executor=executor.name,
         ):
-            table, stats = scan_solve(problem)
-    except (ServiceTimeout, SolveCancelled):
-        raise
-    except Exception as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        metrics.counter("scan.degraded").inc()
-        metrics.counter(f"exec.{executor.name}.degraded").inc()
-        with tracer.span(
-            "scan.degraded", cat="degrade", problem=problem.name, reason=reason,
-        ):
-            pass
-        return None, reason
+            return scan_solve(problem)
+
+    solved = attempt(
+        trail, "scan", run, executor=executor.name, problem=problem.name
+    )
+    if solved is None:
+        return None
+    table, stats = solved
     metrics.counter("scan.solved").inc()
     strategy = strategy_for(
         problem,
@@ -99,7 +94,7 @@ def try_scan_solve(executor, problem: LDDPProblem):
     )
     timeline = scan_timeline(problem, executor.platform)
     executor._maybe_validate(timeline)
-    result = SolveResult(
+    return SolveResult(
         problem=problem.name,
         executor=executor.name,
         pattern=strategy.schedule.pattern,
@@ -109,4 +104,3 @@ def try_scan_solve(executor, problem: LDDPProblem):
         timeline=timeline,
         stats={"solver": "scan", **stats},
     )
-    return result, None

@@ -76,6 +76,7 @@ from ..faults import check_fault
 from ..machine.platform import Platform
 from ..obs import get_metrics, get_tracer
 from ..slo import AdmissionController, Autoscaler, Pricer, QuotaManager
+from ..tiers import annotate, attempt
 from .backends import make_backend
 from .cache import ResultCache
 from .config import ServiceConfig
@@ -111,7 +112,6 @@ class PendingSolve:
         self._future: Future = Future()
         self._batch_key = _BATCH_KEY_UNSET  # lazily memoized by the service
         self._delta_key = _BATCH_KEY_UNSET  # near-match key, memoized too
-        self._delta_reason: str | None = None  # why a delta patch degraded
         self._units: float | None = None  # closed-form price (SLO mode)
         self._priced_wall: float = 0.0  # predicted wall s, backlog accounting
 
@@ -205,12 +205,6 @@ class SolveService:
         way to configure the service (queue, cache, retries, coalescing,
         SLO policy, and the execution ``backend``). ``stats()["config"]``
         echoes the resolved config back.
-    **legacy:
-        The pre-redesign constructor keywords (``workers=``,
-        ``queue_size=``, ...), accepted through
-        :meth:`ServiceConfig.from_kwargs` with a :class:`DeprecationWarning`.
-        Mutually exclusive with ``config``. See ``docs/serving.md`` for the
-        migration table.
 
     Execution is delegated to the configured backend
     (:mod:`repro.serve.backends`): ``"thread"`` runs solves on the service's
@@ -226,21 +220,13 @@ class SolveService:
         self,
         platform: Platform | None = None,
         config: ServiceConfig | None = None,
-        **legacy,
     ) -> None:
-        if config is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either config=ServiceConfig(...) or legacy "
-                    f"keyword arguments, not both (got {sorted(legacy)})"
-                )
-            if not isinstance(config, ServiceConfig):
-                raise TypeError(
-                    f"config must be a ServiceConfig, got "
-                    f"{type(config).__name__}"
-                )
-        else:
-            config = ServiceConfig.from_kwargs(**legacy)
+        if config is None:
+            config = ServiceConfig()
+        elif not isinstance(config, ServiceConfig):
+            raise TypeError(
+                f"config must be a ServiceConfig, got {type(config).__name__}"
+            )
         slo = config.slo
         if slo is not None:
             config = config.replace(workers=max(
@@ -324,6 +310,12 @@ class SolveService:
         (:class:`~repro.errors.AdmissionRejected` or a down-tier) — an
         admitted request is never shed later.
         """
+        if not isinstance(request, SolveRequest):
+            raise TypeError(
+                f"submit() takes a SolveRequest, got "
+                f"{type(request).__name__}; wrap a bare problem as "
+                "SolveRequest(problem) or call submit_problem()"
+            )
         metrics = get_metrics()
         if request.functional:
             # Estimate-only instances fail here, at submission, with a clear
@@ -786,36 +778,28 @@ class SolveService:
         With ``ExecOptions.delta`` the delta tier runs first: an exact-miss
         request with a cached near-match base is served by patching the
         base's table (:mod:`repro.delta`) — bit-identical, counted as
-        ``serve.cache.delta_hit``. A failed patch falls through to the full
-        solve below, never into the retry accounting (retrying a patch
-        that just proved inapplicable is pointless). Timeouts and
-        cancellations raised inside the patch surface normally.
+        ``delta.solved``. A failed patch is the ``delta`` tier's degrade
+        (:mod:`repro.tiers`): it falls through to the full solve below,
+        never into the retry accounting (retrying a patch that just proved
+        inapplicable is pointless). Timeouts and cancellations raised
+        inside the patch surface normally.
         """
         metrics = get_metrics()
         request = pending.request
-        try:
-            result = self._try_delta(pending, span, key)
-        except SolveCancelled as exc:
-            metrics.counter("serve.requests.aborted").inc()
-            span.set(outcome="cancelled")
-            pending._future.set_exception(exc)
-            return
-        except ServiceTimeout as exc:
-            metrics.counter("serve.requests.timeout").inc()
-            span.set(outcome="timeout")
-            pending._future.set_exception(exc)
-            return
-        if result is not None:
-            self._finish(pending, span, key, result)
-            return
+        trail: list = []
         attempts = 0
         while True:
             try:
-                check_fault("serve.execute")
-                started = time.monotonic()
-                with metrics.histogram("serve.execute_ms").time():
-                    result = self._execute(request, pending)
-                self._observe_run(pending, time.monotonic() - started)
+                result = (
+                    self._try_delta(pending, span, key, trail)
+                    if attempts == 0 else None
+                )
+                if result is None:
+                    check_fault("serve.execute")
+                    started = time.monotonic()
+                    with metrics.histogram("serve.execute_ms").time():
+                        result = self._execute(request, pending)
+                    self._observe_run(pending, time.monotonic() - started)
                 break
             except SolveCancelled as exc:
                 metrics.counter("serve.requests.aborted").inc()
@@ -858,7 +842,7 @@ class SolveService:
                 if delay > 0:
                     self._sleep(delay)
 
-        self._finish(pending, span, key, result)
+        self._finish(pending, span, key, annotate(result, trail))
 
     def _observe_run(self, pending: PendingSolve, wall: float) -> None:
         """Feed one measured execution back into the pricer's calibration."""
@@ -882,14 +866,15 @@ class SolveService:
             )
         return memo
 
-    def _try_delta(self, pending: PendingSolve, span, key) -> SolveResult | None:
+    def _try_delta(
+        self, pending: PendingSolve, span, key, trail: list
+    ) -> SolveResult | None:
         """Serve an exact-cache miss by patching a near-match base, if any.
 
         Returns the patched result (bit-identical to a fresh solve), or
         ``None`` — either because the request is not a delta candidate (no
         opt-in, no base cached, structurally ineligible) or because the
-        patch degraded, in which case ``pending._delta_reason`` carries the
-        reason for :meth:`_finish` to surface. Only the thread backend's
+        patch degraded onto ``trail``. Only the thread backend's
         :class:`ResultCache` holds base payloads; the process backend's
         segment index does not, so delta is silently a no-op there.
         """
@@ -908,25 +893,22 @@ class SolveService:
         if base is None:
             return None
         base_payload, base_result = base
-        metrics = get_metrics()
-        try:
-            result = delta_patch(
+        result = attempt(
+            trail, "delta",
+            lambda: delta_patch(
                 request.problem,
                 base_payload,
                 base_result,
                 platform=self.framework.platform,
                 options=self._control_options(request, pending),
                 executor=pending.effective_executor,
-            )
-        except (ServiceTimeout, SolveCancelled):
-            raise
-        except Exception as exc:  # noqa: BLE001 - degrade, never fail
-            pending._delta_reason = f"{type(exc).__name__}: {exc}"
-            metrics.counter("serve.cache.delta_degraded").inc()
-            return None
-        metrics.counter("serve.cache.delta_hit").inc()
-        self.cache.note_delta_hit()
-        span.set(delta=True)
+            ),
+            executor=pending.effective_executor, problem=request.problem.name,
+        )
+        if result is not None:
+            get_metrics().counter("delta.solved").inc()
+            self.cache.note_delta_hit()
+            span.set(delta=True)
         return result
 
     def _base_key_for(
@@ -951,11 +933,6 @@ class SolveService:
     def _finish(self, pending: PendingSolve, span, key, result: SolveResult) -> None:
         """Cache, count and resolve one successfully executed request."""
         metrics = get_metrics()
-        if pending._delta_reason is not None:
-            # A delta patch was attempted and degraded to this full solve;
-            # surface the reason like the scan tier does.
-            result.stats.setdefault("degraded", "full-solve")
-            result.stats["delta_degraded_reason"] = pending._delta_reason
         if key is not None:
             base_key = self._base_key_for(pending, result)
             if base_key is not None:

@@ -1,14 +1,10 @@
 """Structured trace export for solved timelines.
 
-Two formats:
+:func:`trace_json` is the repo's own flat list of task dicts (stable
+format, used by tests and the analysis layer). Chrome ``trace_event``
+JSON lives in :mod:`repro.obs.export` (``chrome_trace(timeline=...)``).
 
-* :func:`trace_json` — the repo's own flat list of task dicts (stable
-  format, used by tests and the analysis layer);
-* :func:`chrome_trace` / :func:`chrome_trace_json` — Chrome ``trace_event``
-  JSON via :mod:`repro.obs.export`, loadable in ``chrome://tracing`` or
-  Perfetto, with one track per simulated resource.
-
-Both reject timelines containing non-finite task times: a NaN duration
+Timelines containing non-finite task times are rejected: a NaN duration
 renders as an empty trace in every viewer, which silently destroys the
 timing argument the trace exists to make.
 """
@@ -16,39 +12,18 @@ timing argument the trace exists to make.
 from __future__ import annotations
 
 import json
-import math
 from typing import Any
 
-from ..errors import SimulationError
-from ..obs.export import chrome_trace as _chrome_trace
+from ..obs.export import check_finite
 from .timeline import Timeline
 
-__all__ = ["trace_json", "summarize", "chrome_trace", "chrome_trace_json"]
-
-
-def _check_finite(timeline: Timeline) -> None:
-    for r in timeline:
-        if not (math.isfinite(r.start) and math.isfinite(r.end)):
-            raise SimulationError(
-                f"task {r.tid} ({r.label or 'unlabeled'}) has non-finite "
-                f"times start={r.start} end={r.end}; refusing to export"
-            )
+__all__ = ["trace_json", "summarize"]
 
 
 def trace_json(timeline: Timeline, indent: int | None = None) -> str:
     """Serialize a timeline to JSON (list of task dicts)."""
-    _check_finite(timeline)
+    check_finite(timeline)
     return json.dumps(timeline.to_trace(), indent=indent)
-
-
-def chrome_trace(timeline: Timeline) -> dict[str, Any]:
-    """The timeline as a Chrome ``trace_event`` document (a plain dict)."""
-    return _chrome_trace(timeline=timeline)
-
-
-def chrome_trace_json(timeline: Timeline, indent: int | None = None) -> str:
-    """Chrome-trace JSON for ``chrome://tracing`` / https://ui.perfetto.dev."""
-    return json.dumps(chrome_trace(timeline), indent=indent)
 
 
 def summarize(timeline: Timeline) -> dict[str, Any]:

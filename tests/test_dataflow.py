@@ -411,7 +411,7 @@ class TestControl:
             )
         assert res.stats["degraded"] == "barrier"
         assert res.stats["schedule"] == "barrier"
-        assert "InjectedFault" in res.stats["degraded_reason"]
+        assert "InjectedFault" in res.stats["tiers"][0]["reason"]
         assert np.array_equal(ref, res.table)
         assert get_metrics().counter("dataflow.degraded").value == before + 1
 

@@ -13,8 +13,8 @@ The load-bearing guarantees:
   the probe edit-sized, lying ones are caught by the seeded spot-check and
   degrade, undeclared entries fall back to the sound global probe;
 * the serve layer turns exact-miss/near-match traffic into patches
-  (``serve.cache.delta_hit``) and degrades bit-identically with a stats
-  reason on any failure, including an injected ``delta.patch`` fault.
+  (``delta.solved``) and degrades bit-identically with a ``stats["tiers"]``
+  entry on any failure, including an injected ``delta.patch`` fault.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ class TestFaultSite:
                 svc.submit(SolveRequest(base)).result()
                 degraded = svc.submit(SolveRequest(edited)).result()
         assert degraded.stats.get("degraded") == "full-solve"
-        assert "InjectedFault" in degraded.stats["delta_degraded_reason"]
+        assert "InjectedFault" in degraded.stats["tiers"][0]["reason"]
         assert np.array_equal(degraded.table, fresh)
 
 
@@ -424,7 +424,7 @@ class TestCacheBaseIndex:
 
     def test_service_serves_near_duplicates_by_patching(self):
         metrics = get_metrics()
-        before = metrics.counter("serve.cache.delta_hit").value
+        before = metrics.counter("delta.solved").value
         base = make_levenshtein(48)
         edited = _edit_entry(base, "a", [47])
         fresh = FRAMEWORK.solve(edited, executor="cpu").table
@@ -435,7 +435,7 @@ class TestCacheBaseIndex:
             stats = svc.cache.stats()
         assert served.stats["solver"] == "delta"
         assert np.array_equal(served.table, fresh)
-        assert metrics.counter("serve.cache.delta_hit").value == before + 1
+        assert metrics.counter("delta.solved").value == before + 1
         assert stats["delta_candidates"] >= 1
         assert stats["delta_hits"] >= 1
 

@@ -150,7 +150,7 @@ class TestDegradation:
         with inject_faults("scan.solve:nth=1"):
             res = fw.solve(p, executor="cpu")
         assert res.stats["degraded"] == "wavefront"
-        assert "InjectedFault" in res.stats["scan_degraded_reason"]
+        assert "InjectedFault" in res.stats["tiers"][0]["reason"]
         assert "solver" not in res.stats
         assert get_metrics().counter("scan.degraded").value \
             == degraded_before + 1
@@ -172,7 +172,7 @@ class TestDegradation:
         )
         res = fw.solve(lying, executor="cpu")
         assert res.stats["degraded"] == "wavefront"
-        assert "ScanMismatch" in res.stats["scan_degraded_reason"]
+        assert "ScanMismatch" in res.stats["tiers"][0]["reason"]
         ref = fw.solve(base, executor="sequential").table
         assert np.array_equal(res.table, ref)
 

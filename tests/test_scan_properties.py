@@ -66,7 +66,7 @@ class TestScanProperties:
         with inject_faults("scan.solve:nth=1"):
             degraded = FW.solve(p, executor="cpu")
         assert degraded.stats["degraded"] == "wavefront"
-        assert "InjectedFault" in degraded.stats["scan_degraded_reason"]
+        assert "InjectedFault" in degraded.stats["tiers"][0]["reason"]
         scanned = FW.solve(p, executor="cpu")
         assert scanned.stats["solver"] == "scan"
         assert np.array_equal(degraded.table, scanned.table)

@@ -262,6 +262,12 @@ class TestConcurrency:
 
 
 class TestAdmission:
+    def test_bare_problem_is_a_type_error_naming_solve_request(self):
+        with SolveService(hetero_high(), config=ServiceConfig(workers=1)) as svc:
+            with pytest.raises(TypeError, match="SolveRequest"):
+                svc.submit(make_levenshtein(8))
+        assert get_metrics().counter("serve.requests.submitted").value == 0
+
     def test_queue_full_rejects_with_service_overloaded(self):
         gate = threading.Event()
         with SolveService(hetero_high(), config=ServiceConfig(workers=1, queue_size=2)) as svc:

@@ -16,7 +16,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.timeline import TaskRecord, Timeline
-from repro.sim.tracing import chrome_trace, chrome_trace_json, summarize, trace_json
+from repro.obs.export import chrome_trace
+from repro.sim.tracing import summarize, trace_json
 
 
 def make_timeline(records=None):
@@ -45,7 +46,7 @@ class TestEmptyTimeline:
     def test_exports_parse(self):
         tl = make_timeline()
         assert json.loads(trace_json(tl)) == []
-        doc = json.loads(chrome_trace_json(tl))
+        doc = chrome_trace(timeline=tl)
         # metadata ("M") events may name the empty process; no task events
         assert [e for e in doc["traceEvents"] if e["ph"] == "X"] == []
 
@@ -75,7 +76,7 @@ class TestNonFiniteRejected:
     def test_chrome_trace_rejects(self, bad):
         tl = make_timeline([TaskRecord(0, "cpu", "broken", bad, 1.0)])
         with pytest.raises(SimulationError, match="non-finite"):
-            chrome_trace(tl)
+            chrome_trace(timeline=tl)
 
     def test_error_names_the_offending_task(self):
         tl = make_timeline(
@@ -95,7 +96,7 @@ class TestRealTimelineStillExports:
         res = fw.solve(minsum_factory(ContributingSet.of("W", "NW", "N")))
         tasks = json.loads(trace_json(res.timeline))
         assert len(tasks) == len(res.timeline)
-        doc = json.loads(chrome_trace_json(res.timeline))
+        doc = chrome_trace(timeline=res.timeline)
         assert len([e for e in doc["traceEvents"] if e["ph"] == "X"]) == len(tasks)
         s = summarize(res.timeline)
         assert s["num_tasks"] == len(tasks)
