@@ -9,7 +9,7 @@ Knight-move skewed grid ({W, NE}) — at block 64:
   oracle bit for bit on both workloads;
 * **DES-predicted reduction** (gated at full size): the list-scheduled tile
   DAG (:mod:`repro.sim.dataflow`) beats the barrier engine's makespan on
-  both workloads (``fast_blocked_makespan`` barrier / dataflow > 1 — the
+  both workloads (``blocked_makespan`` barrier / dataflow > 1 — the
   ramp waves stop serializing behind the widest tile). At the ``--quick``
   size (256) the Inverted-L tile grid is only 4x4, its Γ-wave dependency
   chains dominate, and the barrier model — which (optimistically) prices a
@@ -45,7 +45,7 @@ import numpy as np
 
 from repro import Framework
 from repro.exec.base import ExecOptions
-from repro.exec.fast_estimate import fast_blocked_makespan
+from repro.exec.blocked import blocked_makespan
 from repro.machine.platform import hetero_high
 from repro.problems import make_fig8_problem, make_synthetic
 from repro.types import ContributingSet
@@ -89,9 +89,9 @@ def _measure_one(name: str, problem, options: ExecOptions, fw: Framework,
     barrier_opts = options.replace(dataflow=False)
     dataflow_opts = options.replace(dataflow=True)
 
-    # closed-form DES makespans: the model-level barrier-removal claim
-    des_barrier = fast_blocked_makespan(problem, fw.platform, barrier_opts)
-    des_dataflow = fast_blocked_makespan(problem, fw.platform, dataflow_opts)
+    # the executor's DES makespans: the model-level barrier-removal claim
+    des_barrier = blocked_makespan(problem, fw.platform, barrier_opts)
+    des_dataflow = blocked_makespan(problem, fw.platform, dataflow_opts)
 
     barrier_s, barrier_res = _best_of(fw, problem, barrier_opts, reps)
     dataflow_s, dataflow_res = _best_of(fw, problem, dataflow_opts, reps)

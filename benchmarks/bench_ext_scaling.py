@@ -25,7 +25,7 @@ def test_ext_scaling_gpu_knee(artifact_report):
     assert exps[0] < 1.4 and exps[-1] > 1.5
 
 
-def test_bench_fast_estimate_sweep(benchmark, artifact_report):
+def test_bench_estimate_fast_sweep(benchmark, artifact_report):
     artifact_report("ext-scaling")
     fw = Framework(hetero_high())
 

@@ -218,17 +218,6 @@ def _check_ablations(quick: bool) -> tuple[bool, str]:
     return ok, f"pipeline={pipeline_ok} coalescing={layout_ok}"
 
 
-def _check_fast_estimator(quick: bool) -> tuple[bool, str]:
-    fw = Framework(hetero_high())
-    for maker in (make_levenshtein, make_dithering, make_checkerboard):
-        p = maker(300, materialize=False)
-        slow = fw.estimate(p).simulated_time
-        fast = fw.estimate_fast(p)
-        if abs(slow - fast) > 1e-12 * max(slow, 1e-12):
-            return False, f"{p.name}: DES {slow} != scan {fast}"
-    return True, "closed-form scan == task-graph estimate (3 problems)"
-
-
 def _check_streaming_identity(quick: bool) -> tuple[bool, str]:
     from ..exec.streaming import StreamingSolver
 
@@ -277,8 +266,6 @@ def verify_reproduction(quick: bool = False) -> list[ClaimResult]:
         lambda: _check_fig13(quick))
     run("ablations", "pipelining and coalescing help (model directions)",
         lambda: _check_ablations(quick))
-    run("fast-est", "fast estimator exactly matches the DES",
-        lambda: _check_fast_estimator(quick))
     run("streaming", "rolling-window solve is bit-identical to full solve",
         lambda: _check_streaming_identity(quick))
     return results

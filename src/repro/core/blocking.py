@@ -110,6 +110,13 @@ class BlockGrid:
             out.extend(self.blocks(t))
         return out
 
+    def wave_cells(self, t: int) -> np.ndarray:
+        """Cell counts of the blocks of block-wavefront ``t``, in canonical
+        order — ``[b.cells for b in blocks(t)]`` without the objects."""
+        bi, bj = self.schedule.cells(t)
+        b = self.block
+        return np.minimum(self.rows - bi * b, b) * np.minimum(self.cols - bj * b, b)
+
     def widths(self) -> np.ndarray:
         """Blocks per block-wavefront (the block-level parallelism profile)."""
         return self.schedule.widths()
@@ -209,6 +216,24 @@ class SkewedBlockGrid:
         for t in range(self.num_iterations):
             out.extend(self.blocks(t))
         return out
+
+    def wave_cells(self, t: int) -> np.ndarray:
+        """Cell counts of the non-empty tiles of tile-wavefront ``t``, in
+        canonical order — ``[b.cells for b in blocks(t)]`` without the
+        objects.
+
+        Row ``i`` of tile ``(I, T)`` holds the ``j`` in
+        ``[max(0, v0 - 2i), min(cols, v1 - 2i))``; one ``(tiles, block)``
+        array sums those spans over the tile's rows.
+        """
+        bi, bt = self.schedule.cells(t)
+        b = self.block
+        i = bi[:, None] * b + np.arange(b)  # the rows of every tile
+        v0 = (bt * b)[:, None]
+        v1 = np.minimum(self.vmax, v0 + b)
+        spans = np.minimum(self.cols, v1 - 2 * i) - np.maximum(0, v0 - 2 * i)
+        cells = np.where(i < self.rows, np.maximum(spans, 0), 0).sum(axis=1)
+        return cells[cells > 0]
 
 
 # -- grid cache ----------------------------------------------------------------

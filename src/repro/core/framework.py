@@ -127,15 +127,18 @@ class Framework:
         problem: LDDPProblem,
         params: HeteroParams | None = None,
     ) -> float:
-        """Heterogeneous makespan in seconds via the closed-form scan.
+        """Heterogeneous makespan in seconds, without the executor around it.
 
-        Several times faster than :meth:`estimate` and provably identical
-        (see :mod:`repro.exec.fast_estimate`); returns only the makespan —
-        no timeline, ledger or stats.
+        The same task graph as :meth:`estimate` (see
+        :func:`repro.exec.hetero.hetero_timeline`), so the number is
+        identical; it skips the tier routing, spans and ``exec.*`` metrics
+        and returns only the makespan — no timeline, ledger or stats.
         """
-        from ..exec.fast_estimate import fast_hetero_makespan
+        from ..exec.hetero import hetero_timeline
 
-        return fast_hetero_makespan(problem, self.platform, params, self.options)
+        return hetero_timeline(
+            problem, self.platform, params, self.options
+        )[0].makespan
 
     def _dispatch(self, problem, executor, params, functional, options=None,
                   timeout=None, cancel_token=None):

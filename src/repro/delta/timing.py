@@ -63,7 +63,7 @@ def delta_makespan(
     cone_fraction: float = 0.25,
     options=None,
 ) -> float:
-    """Closed-form seconds for one delta patch (the admission price).
+    """Seconds for one delta patch (the admission price).
 
     The true cone is unknown at admission time, so the price assumes the
     SLO policy's expected ``cone_fraction`` of the computed region; the
@@ -71,14 +71,14 @@ def delta_makespan(
     the price toward the traffic's real cone sizes.  A problem with a
     ``payload_locality`` declaration is priced with a cone-sized probe
     (the candidate set tracks the edit); one without pays the full-table
-    probe pass.  ``options`` is accepted for signature parity with the
-    other pricing models.
+    probe pass.  The expected patch is priced as one cone-sized task
+    (no per-wave forks: the wave count is unknown too) on
+    :func:`delta_timeline`.  ``options`` is accepted for signature parity
+    with the other pricing models.
     """
-    cpu = platform.cpu
     cells = problem.total_computed_cells
     cone = max(0, int(cone_fraction * cells))
     probe = cone if problem.payload_locality else cells
-    total = cpu.parallel_time(probe, problem.cpu_work) if probe else 0.0
-    if cone:
-        total += cpu.parallel_time(cone, problem.cpu_work)
-    return total
+    return delta_timeline(
+        problem, platform, cone, 0, probed_cells=probe
+    ).makespan

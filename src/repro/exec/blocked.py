@@ -42,6 +42,7 @@ from ..errors import ExecutionError
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
 from ..sim.engine import Engine
+from ..sim.timeline import Timeline
 from ..tiers import annotate, attempt
 from .base import (
     ExecOptions,
@@ -52,7 +53,13 @@ from .base import (
     register_executor,
 )
 
-__all__ = ["BlockedCPUExecutor", "evaluate_block", "evaluate_skewed_block"]
+__all__ = [
+    "BlockedCPUExecutor",
+    "barrier_timeline",
+    "blocked_makespan",
+    "evaluate_block",
+    "evaluate_skewed_block",
+]
 
 
 @lru_cache(maxsize=512)
@@ -134,6 +141,76 @@ def evaluate_skewed_block(
     return done
 
 
+def _tiling(problem: LDDPProblem, options: ExecOptions, block_size: int):
+    """``(strategy, grid, work)`` of a ``cpu-blocked`` run."""
+    strategy = strategy_for(
+        problem,
+        pattern_override=options.pattern_override,
+        inverted_l_as_horizontal=options.inverted_l_as_horizontal,
+    )
+    rows, cols = problem.computed_shape
+    grid = grid_for(
+        rows, cols, block_size,
+        pattern=strategy.schedule.pattern, skewed=problem.contributing.ne,
+    )
+    return strategy, grid, problem.cpu_work * strategy.cpu_overhead
+
+
+def barrier_timeline(
+    problem: LDDPProblem, grid, cpu, work: float,
+    options: ExecOptions | None = None,
+) -> tuple[Timeline, int]:
+    """The fork/join timing model: one LPT-packed task per block wavefront.
+
+    Returns the resolved timeline and the number of (non-empty) tiles. The
+    per-wave tile sizes come from :meth:`~repro.core.blocking.BlockGrid.
+    wave_cells` as arrays. Deadline/cancel control is checked once per
+    wave.
+    """
+    engine = Engine()
+    num_blocks = 0
+    for t in range(grid.num_iterations):
+        check_control(options, f"estimate of {problem.name!r}")
+        cells = grid.wave_cells(t)
+        if not cells.size:
+            continue
+        num_blocks += cells.size
+        engine.task(
+            "cpu",
+            cpu.blocked_time(cells, work),
+            label=f"block-wave[{t}]",
+            kind="compute",
+            iteration=t,
+            blocks=cells.size,
+        )
+    return engine.run(), num_blocks
+
+
+def blocked_makespan(
+    problem: LDDPProblem,
+    platform,
+    options: ExecOptions | None = None,
+    block_size: int | None = None,
+) -> float:
+    """Simulated seconds of a ``cpu-blocked`` run, without running it.
+
+    The executor's own models with none of its spans or metrics: the
+    barrier timeline, or (``options.dataflow``) the list-scheduled tile
+    DAG of :mod:`repro.dataflow`.
+    """
+    options = options or ExecOptions()
+    _, grid, work = _tiling(
+        problem, options,
+        block_size if block_size is not None else options.block_size,
+    )
+    if options.dataflow:
+        from ..dataflow import graph_for, simulate_dataflow
+
+        graph = graph_for(grid, problem.contributing)
+        return simulate_dataflow(grid, graph, platform.cpu, work)[0].makespan
+    return barrier_timeline(problem, grid, platform.cpu, work, options)[0].makespan
+
+
 class BlockedCPUExecutor(Executor):
     """CPU-only execution with ``block_size x block_size`` tiles."""
 
@@ -185,27 +262,6 @@ class BlockedCPUExecutor(Executor):
                         )
         return total_done
 
-    def _barrier_timeline(self, problem, grid, work):
-        """The fork/join timing model: one LPT-packed task per wavefront."""
-        engine = Engine()
-        cpu = self.platform.cpu
-        num_blocks = 0
-        for t in range(grid.num_iterations):
-            check_control(self.options, f"estimate of {problem.name!r}")
-            blocks = grid.blocks(t)
-            if not blocks:
-                continue
-            num_blocks += len(blocks)
-            engine.task(
-                "cpu",
-                cpu.blocked_time([blk.cells for blk in blocks], work),
-                label=f"block-wave[{t}]",
-                kind="compute",
-                iteration=t,
-                blocks=len(blocks),
-            )
-        return engine.run(), num_blocks
-
     # -- dataflow path --------------------------------------------------------
 
     def _dataflow_run(
@@ -248,7 +304,9 @@ class BlockedCPUExecutor(Executor):
                 table[...] = table2
                 for k, arr in aux2.items():
                     aux[k][...] = arr
-                timeline, num_blocks = self._barrier_timeline(problem, grid, work)
+                timeline, num_blocks = barrier_timeline(
+                    problem, grid, self.platform.cpu, work, self.options
+                )
                 stats["schedule"] = "barrier"
                 return timeline, total_done, num_blocks, stats
             total_done = df.cells
@@ -260,24 +318,15 @@ class BlockedCPUExecutor(Executor):
             )
         timeline = dataflow_timeline(grid, graph, self.platform.cpu, work)
         stats["model_workers"] = self.platform.cpu.cores
-        nonempty = sum(1 for t in range(grid.num_iterations) for _ in grid.blocks(t))
+        nonempty = sum(grid.wave_cells(t).size for t in range(grid.num_iterations))
         return timeline, total_done, nonempty, stats
 
     # -- entry point ----------------------------------------------------------
 
     def _run(self, problem: LDDPProblem, functional: bool) -> SolveResult:
-        strategy = strategy_for(
-            problem,
-            pattern_override=self.options.pattern_override,
-            inverted_l_as_horizontal=self.options.inverted_l_as_horizontal,
-        )
+        strategy, grid, work = _tiling(problem, self.options, self.block_size)
         pattern = strategy.schedule.pattern
-        rows, cols = problem.computed_shape
         skewed = problem.contributing.ne
-        grid = grid_for(
-            rows, cols, self.block_size, pattern=pattern, skewed=skewed
-        )
-        work = problem.cpu_work * strategy.cpu_overhead
         dataflow = self.options.dataflow
 
         table = aux = None
@@ -305,7 +354,9 @@ class BlockedCPUExecutor(Executor):
                     if functional
                     else 0
                 )
-                timeline, num_blocks = self._barrier_timeline(problem, grid, work)
+                timeline, num_blocks = barrier_timeline(
+                    problem, grid, self.platform.cpu, work, self.options
+                )
             if functional and total_done != problem.total_computed_cells:
                 raise ExecutionError(
                     f"swept {total_done} cells, expected {problem.total_computed_cells}"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import PlatformError
 from ..faults import check_fault
 
@@ -101,25 +103,34 @@ class CPUModel:
         compute = cells * work * per_cell * 1e-9 / self.speedup(cells)
         return self.fork_us * 1e-6 + compute
 
-    def blocked_time(
-        self, block_cells: list[int] | tuple[int, ...], work: float = 1.0
-    ) -> float:
+    def blocked_time(self, block_cells, work: float = 1.0) -> float:
         """Seconds for one fork/join over a batch of *blocks* (Sec. IV-A).
 
-        Each core sweeps whole blocks sequentially (contiguous, no per-cell
-        synchronization); cores make as many passes as needed. Load balance
-        follows LPT-style greedy assignment, modeled by the max-loaded core
-        of a longest-processing-time packing.
+        ``block_cells`` holds each block's cell count (a sequence or a NumPy
+        integer array). Each core sweeps whole blocks sequentially
+        (contiguous, no per-cell synchronization); cores make as many
+        passes as needed. Load balance follows LPT-style greedy assignment,
+        modeled by the max-loaded core of a longest-processing-time packing.
+        When every block holds the same ``c`` cells the packing is
+        round-robin, so its max load is ``ceil(n / min(cores, n)) * c``.
         """
-        if not block_cells:
+        cells = np.asarray(block_cells, dtype=np.int64)
+        n = cells.size
+        if n == 0:
             return 0.0
-        if any(c < 0 for c in block_cells):
+        lo, hi = int(cells.min()), int(cells.max())
+        if lo < 0:
             raise PlatformError("block cell counts cannot be negative")
-        loads = [0] * min(self.cores, len(block_cells))
-        for c in sorted(block_cells, reverse=True):
-            k = loads.index(min(loads))
-            loads[k] += c
-        return self.fork_us * 1e-6 + max(loads) * work * self.cell_ns * 1e-9
+        cores = min(self.cores, n)
+        if lo == hi:
+            max_load = -(-n // cores) * hi
+        else:
+            loads = [0] * cores
+            for c in sorted(cells.tolist(), reverse=True):
+                k = loads.index(min(loads))
+                loads[k] += c
+            max_load = max(loads)
+        return self.fork_us * 1e-6 + max_load * work * self.cell_ns * 1e-9
 
     def sequential_time(self, cells: int, work: float = 1.0, contiguous: bool = True) -> float:
         """Seconds for one core to process ``cells`` cells, no fork cost."""

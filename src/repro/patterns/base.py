@@ -52,7 +52,12 @@ class PatternStrategy(ABC):
 
     @abstractmethod
     def split_transfers(self, t: int) -> tuple[TransferSpec, ...]:
-        """Boundary copies issued after split iteration ``t``."""
+        """Boundary copies issued after split iteration ``t``.
+
+        The same for every split iteration of one schedule: the timing
+        model (:func:`repro.exec.hetero.hetero_timeline`) prices the
+        recipe once per run.
+        """
 
     # -- common machinery -----------------------------------------------------
 
@@ -75,7 +80,7 @@ class PatternStrategy(ABC):
         """Materialize the full iteration-by-iteration plan."""
         params = self.clamp_params(params)
         phases = self.phase_bounds(params)
-        self._check_phases(phases)
+        self.check_phases(phases)
         assignments: list[IterationAssignment] = []
         for ph in phases:
             for t in range(ph.start, ph.stop):
@@ -99,7 +104,7 @@ class PatternStrategy(ABC):
             assignments=assignments,
         )
 
-    def _check_phases(self, phases: list[Phase]) -> None:
+    def check_phases(self, phases: list[Phase]) -> None:
         t = 0
         for ph in phases:
             if ph.start != t or ph.stop < ph.start:

@@ -28,14 +28,13 @@ level up:
 from ..core.linear import LinearSpec
 from .route import scan_applicable, try_scan_solve
 from .solver import ScanMismatch, linear_term, scan_solve, verify_spec
-from .timing import scan_makespan, scan_timeline
+from .timing import scan_timeline
 
 __all__ = [
     "LinearSpec",
     "ScanMismatch",
     "linear_term",
     "scan_applicable",
-    "scan_makespan",
     "scan_solve",
     "scan_timeline",
     "try_scan_solve",

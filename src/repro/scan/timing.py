@@ -10,10 +10,10 @@ A scan solve performs
   and a per-row dispatch overhead (the Python row loop), charged at the CPU
   model's fork cost.
 
-The same numbers feed the result's ``simulated_time``/timeline and the
-serve/SLO admission price (:meth:`repro.slo.pricing.Pricer`), so a linear
-request is priced as the scan it will actually run, not as the wavefront
-sweep it avoids.
+The same timeline gives the result's ``simulated_time`` and the serve/SLO
+admission price (:meth:`repro.slo.pricing.Pricer` reads its makespan), so a
+linear request is priced with exactly the number its result reports — the
+scan it will actually run, not the wavefront sweep it avoids.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from ..core.problem import LDDPProblem
 from ..sim.engine import Engine
 
-__all__ = ["scan_makespan", "scan_passes", "scan_timeline"]
+__all__ = ["scan_passes", "scan_timeline"]
 
 
 def _axis_passes(coeff, size: int) -> int:
@@ -69,20 +69,3 @@ def scan_timeline(problem: LDDPProblem, platform):
     if scan_time > 0:
         engine.task("cpu", scan_time, label=f"scan.{path}", kind="compute")
     return engine.run()
-
-
-def scan_makespan(problem: LDDPProblem, platform, options=None) -> float:
-    """Closed-form seconds for one scan solve (the admission price).
-
-    ``options`` is accepted for signature parity with the wavefront pricing
-    models; the scan cost does not depend on any of its knobs.
-    """
-    cpu = platform.cpu
-    cells = problem.total_computed_cells
-    passes, path = scan_passes(problem)
-    total = cpu.parallel_time(cells, problem.cpu_work)
-    total += passes * cpu.parallel_time(cells, 1.0)
-    if path == "rowscan":
-        R, _ = problem.computed_shape
-        total += R * cpu.fork_us * 1e-6
-    return total

@@ -7,7 +7,17 @@ from typing import Any, Mapping
 
 from ..errors import SimulationError
 
-__all__ = ["Task"]
+__all__ = ["Task", "check_task"]
+
+
+def check_task(resource: str, duration: float) -> None:
+    """Reject a task without a resource or with a negative/NaN duration."""
+    if not resource:
+        raise SimulationError("task needs a resource name")
+    if not (duration >= 0.0):  # also rejects NaN
+        raise SimulationError(
+            f"duration must be finite and >= 0, got {duration!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,9 +50,4 @@ class Task:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.resource:
-            raise SimulationError("task needs a resource name")
-        if not (self.duration >= 0.0):  # also rejects NaN
-            raise SimulationError(
-                f"duration must be finite and >= 0, got {self.duration!r}"
-            )
+        check_task(self.resource, self.duration)

@@ -7,8 +7,9 @@ fault injection) say what happens when things go wrong; this package is the
 
 * :class:`SLOPolicy` — the knobs: admission on/off, EDF scheduling,
   down-tier rules, autoscaler bounds, per-tenant quotas;
-* :class:`Pricer` — closed-form request pricing (the paper's makespan
-  estimator) with batch-key caching and EWMA wall-clock calibration;
+* :class:`Pricer` — request pricing with the executors' own timing models
+  (the paper's makespan), batch-key caching and EWMA wall-clock
+  calibration;
 * :class:`AdmissionController` — admit / down-tier / shed at enqueue time,
   monotone in capacity, never after work starts;
 * :class:`TokenBucket` / :class:`QuotaManager` — per-tenant rate limits;

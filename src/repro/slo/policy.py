@@ -3,8 +3,8 @@
 An :class:`SLOPolicy` bundles every policy knob of the serve layer's
 "policy brain" (see ``docs/serving.md``):
 
-* **admission** — price each deadlined request with the closed-form
-  estimator at enqueue time and shed (or down-tier) work that cannot meet
+* **admission** — price each deadlined request with the executor's timing
+  model at enqueue time and shed (or down-tier) work that cannot meet
   its deadline given the current backlog;
 * **scheduling** — order the queue by earliest *feasible* deadline (EDF on
   ``deadline - predicted cost``) within each priority band instead of pure

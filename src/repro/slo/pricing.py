@@ -1,10 +1,11 @@
-"""Request pricing: closed-form cost units, calibrated into wall seconds.
+"""Request pricing: simulated cost units, calibrated into wall seconds.
 
-The paper's closed-form makespan scan (:func:`repro.exec.fast_estimate.
-fast_hetero_makespan`, the model behind ``Framework.estimate`` and Table II)
-is the natural pricing function for admission control: it costs microseconds
-per *new* problem geometry and returns a number proportional to the work one
-solve performs. Two refinements turn that into a wall-clock predictor:
+The executors' timing models (:func:`repro.exec.hetero.hetero_timeline`,
+the task graph behind ``Framework.estimate`` and Table II, and its blocked,
+scan and delta counterparts) are the natural pricing function for admission
+control: they cost milliseconds per *new* problem geometry and return the
+simulated time the solve itself will report. Two refinements turn that into
+a wall-clock predictor:
 
 * **Price caching by batch key.** Batch-compatible requests (same
   :func:`repro.batch.batch_key` — geometry, dtype, cell code, executor,
@@ -39,7 +40,7 @@ _SEED_RATIO = {True: 1.0, False: 0.05}
 
 
 class Pricer:
-    """Prices requests in closed-form units and calibrates to wall clock.
+    """Prices requests in simulated units and calibrates to wall clock.
 
     Thread-safe; one instance per :class:`~repro.serve.SolveService`.
     ``alpha`` is the EWMA weight of each new observation.
@@ -70,16 +71,17 @@ class Pricer:
         executor: str | None = None,
         delta_cone_fraction: float | None = None,
     ) -> float | None:
-        """Closed-form cost units for one solve, or ``None`` if unpriceable.
+        """Simulated cost units for one solve, or ``None`` if unpriceable.
 
         ``key`` is the request's :func:`repro.batch.batch_key`; when given,
         the price is served from (and stored into) the LRU, so a fleet of
         batch-compatible requests is priced exactly once. ``executor``
-        selects the phase model: ``cpu-blocked`` requests are priced with
-        the barrier/dataflow blocked scan (whose ramp-phase idle the hetero
-        scan cannot see); everything else uses the heterogeneous scan. The
-        batch key already includes the executor, so the LRU never mixes the
-        two models.
+        selects the timing model: ``cpu-blocked`` requests are priced with
+        the blocked executor's barrier/dataflow model (whose ramp-phase idle
+        the heterogeneous graph cannot see); everything else uses the
+        heterogeneous task graph. Either way the price equals the
+        executor's ``estimate(...).simulated_time``. The batch key already
+        includes the executor, so the LRU never mixes the two models.
 
         ``delta_cone_fraction`` prices the request as a *delta patch* of a
         cached near-match base (:func:`repro.delta.delta_makespan`, one
@@ -133,20 +135,18 @@ class Pricer:
             # Declared-linear solves route to the scan tier: O(n·m) work at
             # O(log) depth. Pricing them with the wavefront models would
             # overprice (and wrongly shed) exactly the cheapest requests.
-            from ..scan.timing import scan_makespan
+            from ..scan.timing import scan_timeline
 
-            return scan_makespan(problem, self.framework.platform, options)
+            return scan_timeline(problem, self.framework.platform).makespan
         if executor == "cpu-blocked":
-            from ..exec.fast_estimate import fast_blocked_makespan
+            from ..exec.blocked import blocked_makespan
 
-            return fast_blocked_makespan(
-                problem, self.framework.platform, options
-            )
-        from ..exec.fast_estimate import fast_hetero_makespan
+            return blocked_makespan(problem, self.framework.platform, options)
+        from ..exec.hetero import hetero_timeline
 
-        return fast_hetero_makespan(
+        return hetero_timeline(
             problem, self.framework.platform, params, options
-        )
+        )[0].makespan
 
     # -- calibration ------------------------------------------------------------
 

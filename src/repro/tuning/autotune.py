@@ -5,9 +5,9 @@ curve is U-shaped and its minimum gives the optimal ``t_switch``.
 
 Step 2: fix that ``t_switch`` and sweep ``t_share``; again take the minimum.
 
-Objectives are evaluated with the heterogeneous executor in estimate mode
-(the full task-graph timing model, no table filling), so tuning paper-scale
-sizes takes milliseconds per point.
+Objectives are evaluated with the heterogeneous executor's task graph
+(:func:`repro.exec.hetero.hetero_timeline`, no table filling), so tuning
+paper-scale sizes takes milliseconds per point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions
-from ..exec.hetero import HeteroExecutor
+from ..exec.hetero import hetero_timeline
 from ..machine.platform import Platform
 from ..patterns.registry import strategy_for
 from ..types import Pattern
@@ -46,7 +46,6 @@ def autotune(
 ) -> TuneResult:
     """Run the two-step procedure; returns the tuned parameters and curves."""
     options = options or ExecOptions()
-    executor = HeteroExecutor(platform, options)
     strategy = strategy_for(
         problem,
         pattern_override=options.pattern_override,
@@ -58,7 +57,7 @@ def autotune(
     # -- step 1: t_switch with t_share = 0 -----------------------------------
     if pattern in (Pattern.HORIZONTAL, Pattern.VERTICAL):
         # Constant-width patterns have no low-work region (paper Sec. III-B).
-        ts_curve = [(0, _time(executor, problem, 0, 0))]
+        ts_curve = [(0, _time(platform, options, problem, 0, 0))]
     else:
         if t_switch_grid is None:
             hi = (
@@ -68,7 +67,7 @@ def autotune(
             )
             t_switch_grid = grid(0, hi, points)
         ts_curve = sweep(
-            t_switch_grid, lambda ts: _time(executor, problem, ts, 0)
+            t_switch_grid, lambda ts: _time(platform, options, problem, ts, 0)
         )
     best_ts, _ = argmin_curve(ts_curve)
 
@@ -76,7 +75,7 @@ def autotune(
     if t_share_grid is None:
         t_share_grid = grid(0, sched.max_width, points)
     share_curve = sweep(
-        t_share_grid, lambda sh: _time(executor, problem, best_ts, sh)
+        t_share_grid, lambda sh: _time(platform, options, problem, best_ts, sh)
     )
     best_share, best_time = argmin_curve(share_curve)
 
@@ -89,13 +88,11 @@ def autotune(
 
 
 def _time(
-    executor: HeteroExecutor, problem: LDDPProblem, t_switch: int, t_share: int
+    platform: Platform,
+    options: ExecOptions,
+    problem: LDDPProblem,
+    t_switch: int,
+    t_share: int,
 ) -> float:
-    from ..exec.fast_estimate import fast_hetero_makespan
-
     params = HeteroParams(t_switch=t_switch, t_share=t_share)
-    # the closed-form scan is exactly equal to the task-graph estimate and
-    # several times faster — tuning sweeps dozens of points
-    return fast_hetero_makespan(
-        problem, executor.platform, params, executor.options
-    )
+    return hetero_timeline(problem, platform, params, options)[0].makespan

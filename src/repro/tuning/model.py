@@ -82,12 +82,10 @@ def balanced_share(
 
 def _ramp_t_switch(strategy: PatternStrategy, w_star: float, from_end: bool) -> int:
     """Count iterations (from one end) whose width stays below ``w_star``."""
-    sched = strategy.schedule
-    total = sched.num_iterations
+    widths = strategy.schedule.widths().tolist()
     count = 0
-    for k in range(total):
-        t = total - 1 - k if from_end else k
-        if sched.width(t) > w_star:
+    for w in reversed(widths) if from_end else widths:
+        if w > w_star:
             break
         count += 1
     return count
@@ -125,7 +123,7 @@ def analytic_params(
         split_range = range(0, total)
     else:
         split_range = range(t_switch, total - t_switch)
-    widths = [sched.width(t) for t in split_range]
+    widths = sched.widths()[split_range.start:split_range.stop].tolist()
     w_ref = max(widths, default=0)
     if not w_ref:
         return HeteroParams(t_switch=t_switch, t_share=0)

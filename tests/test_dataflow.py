@@ -8,7 +8,7 @@ The load-bearing guarantees:
   contributing sets, degenerate shapes and odd block sizes (hypothesis);
 * cancellation/deadline abort within one tile per worker and a
   ``dataflow.tile`` fault degrades to the barrier path bit-identically;
-* ``fast_blocked_makespan`` agrees exactly with the blocked executor's DES
+* ``blocked_makespan`` agrees exactly with the blocked executor's DES
   in both schedules, and admission pricing routes ``cpu-blocked`` through it.
 """
 
@@ -41,7 +41,8 @@ from repro.dataflow import (
     square_offsets,
 )
 from repro.errors import ScheduleError, ServiceTimeout, SolveCancelled
-from repro.exec.fast_estimate import fast_blocked_makespan, fast_hetero_makespan
+from repro.exec.blocked import blocked_makespan
+from repro.exec.hetero import hetero_timeline
 from repro.faults import inject_faults
 from repro.obs import get_metrics
 from repro.problems.synthetic import make_fig8_problem, make_synthetic
@@ -462,25 +463,25 @@ class TestTimingModel:
         p = make_synthetic(ContributingSet.from_mask(mask), *shape)
         opts = ExecOptions(block_size=8, dataflow=dataflow)
         est = fw.estimate(p, executor="cpu-blocked", options=opts)
-        fast = fast_blocked_makespan(p, fw.platform, opts)
+        fast = blocked_makespan(p, fw.platform, opts)
         assert est.simulated_time == fast  # exact, not approximate
 
     def test_fast_blocked_native_inverted_l(self, fw):
         p = make_fig8_problem(96, materialize=False)
         opts = ExecOptions(inverted_l_as_horizontal=False, block_size=8)
         est = fw.estimate(p, executor="cpu-blocked", options=opts)
-        assert fast_blocked_makespan(p, fw.platform, opts) == est.simulated_time
+        assert blocked_makespan(p, fw.platform, opts) == est.simulated_time
 
     def test_des_predicts_dataflow_reduction_on_ramp_heavy(self, fw):
         """The tentpole claim: both ramp-heavy patterns get faster."""
         invl = make_fig8_problem(256, materialize=False)
         o = ExecOptions(inverted_l_as_horizontal=False, block_size=16)
-        assert fast_blocked_makespan(invl, fw.platform, o) > \
-            fast_blocked_makespan(invl, fw.platform, o.replace(dataflow=True))
+        assert blocked_makespan(invl, fw.platform, o) > \
+            blocked_makespan(invl, fw.platform, o.replace(dataflow=True))
         knight = make_synthetic(ContributingSet.of("W", "NE"), 256, 256)
         o2 = ExecOptions(block_size=16)
-        assert fast_blocked_makespan(knight, fw.platform, o2) > \
-            fast_blocked_makespan(knight, fw.platform, o2.replace(dataflow=True))
+        assert blocked_makespan(knight, fw.platform, o2) > \
+            blocked_makespan(knight, fw.platform, o2.replace(dataflow=True))
 
     def test_dataflow_timeline_validates(self, fw):
         p = make_synthetic(ContributingSet.of("W", "NE"), 40, 40)
@@ -555,10 +556,10 @@ class TestPricing:
         blocked = pricer.units(p, executor="cpu-blocked")
         hetero = pricer.units(p, executor="hetero")
         assert blocked == pytest.approx(
-            fast_blocked_makespan(p, fw.platform, fw.options)
+            blocked_makespan(p, fw.platform, fw.options)
         )
         assert hetero == pytest.approx(
-            fast_hetero_makespan(p, fw.platform, None, fw.options)
+            hetero_timeline(p, fw.platform, None, fw.options)[0].makespan
         )
         assert blocked != hetero
 
@@ -570,8 +571,40 @@ class TestPricing:
         opts = ExecOptions(block_size=8, dataflow=True)
         priced = pricer.units(p, options=opts, executor="cpu-blocked")
         assert priced == pytest.approx(
-            fast_blocked_makespan(p, fw.platform, opts)
+            blocked_makespan(p, fw.platform, opts)
         )
+
+    @pytest.mark.parametrize("executor,options", [
+        ("hetero", ExecOptions()),
+        ("cpu-blocked", ExecOptions(block_size=8)),
+        ("cpu-blocked", ExecOptions(block_size=8, dataflow=True)),
+    ], ids=["hetero", "blocked-barrier", "blocked-dataflow"])
+    def test_pricer_units_equal_estimate(self, fw, executor, options):
+        """A request is priced with exactly the number its run reports."""
+        from repro.slo.pricing import Pricer
+
+        p = make_synthetic(ContributingSet.of("W", "NE"), 64, 64)
+        units = Pricer(fw).units(p, options=options, executor=executor)
+        est = fw.estimate(p, executor=executor, options=options)
+        assert units == est.simulated_time
+
+    def test_pricing_and_tuning_record_no_exec_metrics(self, fw):
+        """Only solves and estimates count ``exec.*``; the timing functions
+        that pricing and tuning call record none."""
+        from repro.obs import MetricsRegistry, set_metrics
+        from repro.slo.pricing import Pricer
+
+        p = make_synthetic(ContributingSet.of("W", "NE"), 64, 64)
+        previous = set_metrics(MetricsRegistry())
+        try:
+            pricer = Pricer(fw)
+            pricer.units(p, executor="hetero")
+            pricer.units(p, executor="cpu-blocked")
+            fw.tune(p, points=3)
+            names = get_metrics().names()
+        finally:
+            set_metrics(previous)
+        assert not [n for n in names if n.startswith("exec.")]
 
     def test_options_cache_key_distinguishes_dataflow(self):
         a = ExecOptions(dataflow=True)

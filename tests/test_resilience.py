@@ -34,7 +34,6 @@ from repro.errors import (
     ServiceTimeout,
     SolveCancelled,
 )
-from repro.exec.fast_estimate import fast_hetero_makespan
 from repro.exec.streaming import StreamingSolver
 from repro.faults import check_fault
 from repro.machine.platform import hetero_high
@@ -362,10 +361,10 @@ class TestExecutorCancellation:
         with pytest.raises(ServiceTimeout):
             fw.estimate(make_levenshtein(64), timeout=0.0)
 
-    def test_fast_estimate_honours_deadline(self):
+    def test_estimate_fast_honours_deadline(self):
         opts = ExecOptions(deadline=time.monotonic() - 1.0)
         with pytest.raises(ServiceTimeout):
-            fast_hetero_makespan(make_levenshtein(64), hetero_high(), options=opts)
+            Framework(hetero_high(), opts).estimate_fast(make_levenshtein(64))
 
     def test_abort_happens_within_one_wavefront(self):
         """Firing the token during wavefront k stops before wavefront k+1."""

@@ -41,8 +41,8 @@ from repro.problems.synthetic import make_linear, make_synthetic
 from repro.scan import (
     linear_term,
     scan_applicable,
-    scan_makespan,
     scan_solve,
+    scan_timeline,
     verify_spec,
 )
 from repro.serve import ServiceConfig, SolveRequest, SolveService
@@ -237,12 +237,12 @@ class TestPricing:
             make_synthetic(ContributingSet.of("W"), 8, 8)
         )
 
-    def test_scan_makespan_beats_wavefront_model(self, high):
-        from repro.exec.fast_estimate import fast_hetero_makespan
+    def test_scan_price_beats_wavefront_model(self, high):
+        from repro.exec.hetero import hetero_timeline
 
         p = make_prefix_sum(512)
-        scan = scan_makespan(p, high)
-        wavefront = fast_hetero_makespan(p, high)
+        scan = scan_timeline(p, high).makespan
+        wavefront = hetero_timeline(p, high)[0].makespan
         assert 0.0 < scan < wavefront
 
     def test_pricer_routes_scan_requests_through_scan_model(self, fw):
@@ -251,7 +251,7 @@ class TestPricing:
         p = make_prefix_sum(256)
         pricer = Pricer(fw)
         units = pricer.units(p, executor="cpu")
-        assert units == pytest.approx(scan_makespan(p, fw.platform))
+        assert units == pytest.approx(scan_timeline(p, fw.platform).makespan)
 
     def test_linear_term_recovers_d_exactly(self):
         p = make_linear(12, 9, a=2, b=-3, c=1, e=4, seed=7)
