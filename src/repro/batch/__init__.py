@@ -18,7 +18,7 @@ cancellation, degradation and the ``batch.execute`` fault site are honored
 throughout. See ``docs/batching.md``.
 """
 
-from .executor import execute_group, execute_items
+from .executor import execute_group, execute_items, item_options, run_item
 from .planner import (
     BatchGroup,
     BatchItem,
@@ -35,4 +35,6 @@ __all__ = [
     "payload_fingerprint",
     "execute_group",
     "execute_items",
+    "item_options",
+    "run_item",
 ]

@@ -45,7 +45,7 @@ import numpy as np
 
 from ..core.framework import Framework
 from ..errors import ServiceTimeout, SolveCancelled
-from ..exec.base import SolveResult
+from ..exec.base import ExecOptions, SolveResult
 from ..faults import check_fault
 from ..kernels import generic_span, plan_for
 from ..obs import get_metrics, get_tracer
@@ -53,7 +53,7 @@ from ..patterns.registry import strategy_for
 from ..tiers import annotate, attempt
 from .planner import BatchGroup, BatchItem
 
-__all__ = ["execute_group", "execute_items"]
+__all__ = ["execute_group", "execute_items", "item_options", "run_item"]
 
 Outcome = "SolveResult | BaseException"
 
@@ -104,25 +104,34 @@ def execute_group(
 
 def _solo_outcome(item: BatchItem, framework: Framework, trail=()):
     try:
-        return annotate(_solo(item, framework), trail)
+        return annotate(run_item(item, framework), trail)
     except BaseException as exc:  # noqa: BLE001 - outcome, not control flow
         return exc
 
 
-def _solo(item: BatchItem, framework: Framework) -> SolveResult:
-    """One per-instance Framework run with the item's control threaded in."""
-    options = item.options
-    if item.deadline is not None or item.cancel_token is not None:
-        base = options or framework.options
-        options = base.replace(
-            deadline=item.deadline if item.deadline is not None
-            else base.deadline,
-            cancel_token=item.cancel_token if item.cancel_token is not None
-            else base.cancel_token,
-        )
+def item_options(item: BatchItem, framework: Framework) -> ExecOptions:
+    """The item's options with its deadline and cancel token merged in.
+
+    The one place a request's control plane enters its ``ExecOptions``:
+    an item-level deadline or token replaces the options-level one. Both
+    fields are ``repr``-excluded, so cache and batch keys are unaffected.
+    """
+    options = item.options or framework.options
+    if item.deadline is None and item.cancel_token is None:
+        return options
+    return options.replace(
+        deadline=item.deadline if item.deadline is not None
+        else options.deadline,
+        cancel_token=item.cancel_token if item.cancel_token is not None
+        else options.cancel_token,
+    )
+
+
+def run_item(item: BatchItem, framework: Framework) -> SolveResult:
+    """One per-instance Framework run of ``item``, its control threaded in."""
     run = framework.solve if item.functional else framework.estimate
     return run(item.problem, executor=item.executor, params=item.params,
-               options=options)
+               options=item_options(item, framework))
 
 
 def _expired(item: BatchItem, now: float) -> BaseException | None:

@@ -103,6 +103,9 @@ def payload_fingerprint(problem: LDDPProblem) -> str | None:
     return h.hexdigest()
 
 
+_KEY_FROM_FIELDS = object()  # BatchItem.key default: hash the item's fields
+
+
 @dataclass
 class BatchItem:
     """One instance inside a planned batch.
@@ -111,7 +114,9 @@ class BatchItem:
     scatter per-item outcomes back into input order. ``deadline`` (absolute
     ``time.monotonic()`` seconds) and ``cancel_token`` are per-item control:
     the batch sweep checks both at every wavefront, so one expired request
-    never stalls or fails its batch-mates.
+    never stalls or fails its batch-mates. ``key`` defaults to the item's
+    :func:`batch_key`; an explicit ``None`` marks an item that groups with
+    nothing and skips the hashing.
     """
 
     index: int
@@ -122,10 +127,10 @@ class BatchItem:
     functional: bool = True
     deadline: float | None = None
     cancel_token: CancelToken | None = None
-    key: str | None = field(default=None, repr=False)
+    key: str | None = field(default=_KEY_FROM_FIELDS, repr=False)
 
     def __post_init__(self) -> None:
-        if self.key is None:
+        if self.key is _KEY_FROM_FIELDS:
             self.key = batch_key(
                 self.problem, executor=self.executor, options=self.options,
                 params=self.params, functional=self.functional,

@@ -28,6 +28,10 @@ def checkerboard_cell(ctx: EvalContext) -> np.ndarray:
     return cost[ctx.i, ctx.j] + best
 
 
+def _init(table: np.ndarray, payload) -> None:
+    table[0, :] = payload["cost"][0, :]
+
+
 def make_checkerboard(
     n: int,
     cols: int | None = None,
@@ -36,14 +40,10 @@ def make_checkerboard(
 ) -> LDDPProblem:
     """Minimum-cost path table over a random cost board."""
     cols = n if cols is None else cols
-
-    def init(table: np.ndarray, payload) -> None:
-        table[0, :] = payload["cost"][0, :]
-
     if materialize:
         rng = np.random.default_rng(seed)
         payload = {"cost": rng.uniform(0.0, 10.0, size=(n, cols))}
-        init_fn = init
+        init_fn = _init
     else:
         payload = {"_nbytes_hint": n * cols * 8}
         init_fn = None

@@ -31,6 +31,12 @@ def nw_cell(ctx: EvalContext) -> np.ndarray:
     return np.maximum(np.maximum(ctx.nw + s, ctx.n + gap), ctx.w + gap)
 
 
+def _init(table: np.ndarray, payload) -> None:
+    gap = payload["gap"]
+    table[0, :] = gap * np.arange(table.shape[1])
+    table[:, 0] = gap * np.arange(table.shape[0])
+
+
 def make_needleman_wunsch(
     m: int,
     n: int | None = None,
@@ -43,11 +49,6 @@ def make_needleman_wunsch(
 ) -> LDDPProblem:
     """Global alignment score table for two random sequences."""
     n = m if n is None else n
-
-    def init(table: np.ndarray, payload) -> None:
-        table[0, :] = gap * np.arange(table.shape[1])
-        table[:, 0] = gap * np.arange(table.shape[0])
-
     if materialize:
         rng = np.random.default_rng(seed)
         payload = {
@@ -57,7 +58,7 @@ def make_needleman_wunsch(
             "mismatch": mismatch,
             "gap": gap,
         }
-        init_fn = init
+        init_fn = _init
     else:
         payload = {"_nbytes_hint": m + n}
         init_fn = None

@@ -38,6 +38,11 @@ def viterbi_cell(ctx: EvalContext) -> np.ndarray:
     return emit[j, obs[t]] + np.maximum(from_stay, from_prev)
 
 
+def _init(table, payload) -> None:
+    table[0, :] = NEG
+    table[0, 0] = 0.0  # must start in state 0 (left-to-right)
+
+
 def make_viterbi(
     T: int,
     states: int | None = None,
@@ -62,12 +67,7 @@ def make_viterbi(
             "obs": rng.integers(0, symbols, T),
             "states": states,
         }
-
-        def init(table, payload):
-            table[0, :] = NEG
-            table[0, 0] = 0.0  # must start in state 0 (left-to-right)
-
-        init_fn = init
+        init_fn = _init
     else:
         payload = {"_nbytes_hint": states * symbols * 8 + T}
         init_fn = None

@@ -2,21 +2,24 @@
 
 :class:`~repro.serve.SolveService` owns admission, queueing, caching,
 coalescing and retries; *execution* is delegated to a backend selected by
-:attr:`ServiceConfig.backend <repro.serve.config.ServiceConfig.backend>`:
+:attr:`ServiceConfig.backend <repro.serve.config.ServiceConfig.backend>`.
+Both backends take :class:`~repro.batch.BatchItem` s: ``execute(item)`` runs
+a lone request, ``execute_batch(items)`` a coalesced group, and both are
+thin wrappers over one job path per backend.
 
 * :class:`ThreadBackend` (``"thread"``) — the PR 2-6 behaviour: the solve
   runs on the calling service thread, inside this process. One GIL; best
   for cache-heavy or I/O-light traffic.
 * :class:`ProcessPoolBackend` (``"process"``) — a pool of **spawned** worker
-  processes, one per service dispatch thread. Each dispatch ships the job
-  (pre-pickled, so unpicklable problems are detected up front and fall back
-  to an in-parent run) to a worker chosen by **consistent-hashing the
-  request's batch key** — batch-compatible requests land on the same worker,
-  whose :class:`~repro.kernels.KernelPlan` cache stays hot for exactly that
-  shape. Result tables come back **zero-copy** through
-  :mod:`repro.serve.shm`: the worker packs them into one shared-memory
-  segment and replies with a small descriptor; the parent materializes
-  read-only NumPy views over the same bytes.
+  processes, one per service dispatch thread. Each dispatch ships one job,
+  a list of items (pre-pickled, so unpicklable problems are detected up
+  front and fall back to an in-parent run), to a worker chosen by
+  **consistent-hashing the request's batch key** — batch-compatible
+  requests land on the same worker, whose :class:`~repro.kernels.KernelPlan`
+  cache stays hot for exactly that shape. Result tables come back
+  **zero-copy** through :mod:`repro.serve.shm`: the worker packs them into
+  one shared-memory segment and replies with a small descriptor; the parent
+  materializes read-only NumPy views over the same bytes.
 
 Spawn safety (``"spawn"`` is the only sane start method here — the parent
 is multi-threaded, so ``fork`` would clone held locks): each worker runs a
@@ -32,15 +35,15 @@ Cross-process control plane:
   ``CLOCK_MONOTONIC`` is system-wide on every supported platform, so the
   worker enforces exactly the deadline the parent computed;
 * **cancellation** uses a per-worker *cancel slab*: one shared-memory byte
-  per in-flight job. The parent's dispatch thread polls the caller's
+  per in-flight item. The parent's dispatch thread polls the caller's
   :class:`~repro.cancel.CancelToken` and flips the slot; the worker's
   :class:`_SlabCancelToken` reads it at every wavefront boundary — the
   same cooperative abort latency as the thread backend;
 * **worker death** is detected by the waiting dispatch thread, which
   respawns the worker *under the same ring position* (warm cache keys
-  re-shard identically) and raises a retryable
-  :class:`~repro.errors.ExecutionError` so the service's existing retry
-  loop re-dispatches the job.
+  re-shard identically) and hands every item of the job a retryable
+  :class:`~repro.errors.ExecutionError`, so the service's retry loop
+  re-dispatches each request, coalesced or not.
 """
 
 from __future__ import annotations
@@ -52,12 +55,12 @@ import pickle
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import multiprocessing as mp
 from multiprocessing import shared_memory
 
-from ..batch import BatchItem, execute_items
+from ..batch import BatchItem, execute_items, run_item
 from ..cancel import CancelToken
 from ..core.framework import Framework
 from ..errors import ExecutionError
@@ -72,19 +75,37 @@ _POLL = 0.05  # parent-side cancel/death poll interval (s)
 _SLAB_SLOTS = 128  # concurrent cancellable jobs per worker
 
 
-def make_backend(config, framework: Framework, worker_count):
-    """Build the backend for ``config`` (see :mod:`repro.serve.config`).
-
-    ``worker_count`` is a zero-arg callable reporting the service's dispatch
-    concurrency — the thread backend has no workers of its own to count.
-    """
+def make_backend(config, framework: Framework):
+    """Build the backend for ``config`` (see :mod:`repro.serve.config`)."""
     if config.backend == "process":
         return ProcessPoolBackend(
             framework,
             workers=config.workers,
             start_method=config.start_method,
         )
-    return ThreadBackend(framework, worker_count)
+    return ThreadBackend(framework)
+
+
+def _outcomes(items: list[BatchItem], framework: Framework) -> list:
+    """Run one job: a lone item solo, a group as one stacked batch.
+
+    One outcome per item — a :class:`SolveResult` or the exception that
+    stopped it. A lone item counts in no ``batch.*`` metric.
+    """
+    if len(items) > 1:
+        return execute_items(items, framework)
+    try:
+        return [run_item(items[0], framework)]
+    except Exception as exc:  # noqa: BLE001 - outcome, not control flow
+        return [exc]
+
+
+def _only(outcomes: list) -> SolveResult:
+    """The one outcome of a solo job, raised if it is an exception."""
+    (outcome,) = outcomes
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 # -- thread backend ------------------------------------------------------------
@@ -95,28 +116,21 @@ class ThreadBackend:
 
     kind = "thread"
 
-    def __init__(self, framework: Framework, worker_count=None) -> None:
+    def __init__(self, framework: Framework) -> None:
         self.framework = framework
-        self._worker_count = worker_count or (lambda: 0)
 
-    def execute(
-        self, *, problem, executor, params, options, functional,
-        affinity=None,
-    ) -> SolveResult:
-        run = self.framework.solve if functional else self.framework.estimate
-        return run(problem, executor=executor, params=params, options=options)
+    def execute(self, item: BatchItem, affinity=None) -> SolveResult:
+        return _only(_outcomes([item], self.framework))
 
     def execute_batch(self, items: list[BatchItem], affinity=None) -> list:
-        return execute_items(items, self.framework)
-
-    def worker_count(self) -> int:
-        return self._worker_count()
+        return _outcomes(items, self.framework)
 
     def resize(self, target: int) -> None:  # dispatch threads ARE the pool
         pass
 
     def stats(self) -> dict:
-        return {"kind": self.kind, "workers": self._worker_count()}
+        # No workers of its own: the service reports its dispatch threads.
+        return {"kind": self.kind}
 
     def close(self) -> None:
         pass
@@ -207,7 +221,6 @@ class _WorkerSpec:
     executors: dict  # name -> Executor subclass, beyond the builtins
     fault_rules: tuple  # (site, nth, rate, latency, message) per rule
     slab_name: str
-    slab_slots: int
 
 
 def _snapshot_executors() -> dict:
@@ -253,46 +266,6 @@ def _worker_init(spec: _WorkerSpec) -> Framework:
     return Framework(spec.platform, spec.options)
 
 
-def _job_options(framework: Framework, options, deadline, token):
-    base = options or framework.options
-    if deadline is not None or token is not None:
-        base = base.replace(deadline=deadline, cancel_token=token)
-    return base
-
-
-def _run_solve(framework: Framework, job: dict, buf) -> SolveResult:
-    token = (
-        _SlabCancelToken(buf, job["slot"]) if job["slot"] is not None else None
-    )
-    options = _job_options(framework, job["options"], job["deadline"], token)
-    run = framework.solve if job["functional"] else framework.estimate
-    return run(
-        job["problem"], executor=job["executor"], params=job["params"],
-        options=options,
-    )
-
-
-def _run_batch(framework: Framework, job: dict, buf) -> list:
-    items = []
-    for k, it in enumerate(job["items"]):
-        token = (
-            _SlabCancelToken(buf, it["slot"])
-            if it["slot"] is not None else None
-        )
-        items.append(BatchItem(
-            index=k,
-            problem=it["problem"],
-            executor=it["executor"],
-            options=it["options"],
-            params=it["params"],
-            functional=it["functional"],
-            deadline=it["deadline"],
-            cancel_token=token,
-            key=it["key"],
-        ))
-    return execute_items(items, framework)
-
-
 def _picklable_exc(exc: BaseException) -> BaseException:
     try:
         pickle.loads(pickle.dumps(exc))
@@ -303,6 +276,10 @@ def _picklable_exc(exc: BaseException) -> BaseException:
 
 def _worker_main(spec: _WorkerSpec, inbox, outbox) -> None:
     """One worker process: init once, then drain jobs until the sentinel.
+
+    A job is ``(ticket, items, slots)``: the :class:`BatchItem` list,
+    cancel tokens stripped, plus each item's cancel-slab slot (or
+    ``None``); the reply packs one outcome per item.
 
     ``outbox`` is this worker's *private* reply pipe (the write end of a
     one-way :func:`multiprocessing.Pipe`). Single writer per pipe is the
@@ -319,22 +296,21 @@ def _worker_main(spec: _WorkerSpec, inbox, outbox) -> None:
             payload = inbox.get()
             if payload is None:
                 return
-            ticket, job = pickle.loads(payload)
+            ticket, items, slots = pickle.loads(payload)
             try:
-                if job["kind"] == "batch":
-                    outcomes = _run_batch(framework, job, buf)
-                    packed = []
-                    for out in outcomes:
-                        if isinstance(out, SolveResult):
-                            packed.append(("ok",) + export_result(out))
-                        else:
-                            packed.append(("err", _picklable_exc(out), None))
-                    batched += len(packed)
-                    reply = (ticket, "batch", packed)
-                else:
-                    result = _run_solve(framework, job, buf)
-                    reply = (ticket, "ok") + export_result(result)
+                for item, slot in zip(items, slots):
+                    if slot is not None:
+                        item.cancel_token = _SlabCancelToken(buf, slot)
+                packed = [
+                    ("ok",) + export_result(out)
+                    if isinstance(out, SolveResult)
+                    else ("err", _picklable_exc(out))
+                    for out in _outcomes(items, framework)
+                ]
+                reply = (ticket, "ok", packed)
                 jobs += 1
+                if len(items) > 1:
+                    batched += len(items)
             except BaseException as exc:  # noqa: BLE001 - shipped to parent
                 failures += 1
                 reply = (ticket, "err", _picklable_exc(exc))
@@ -445,7 +421,6 @@ class ProcessPoolBackend:
             executors=_snapshot_executors(),
             fault_rules=_snapshot_faults(),
             slab_name=slab.name,
-            slab_slots=_SLAB_SLOTS,
         )
         inbox = self._ctx.Queue()
         reader, writer = self._ctx.Pipe(duplex=False)
@@ -494,7 +469,7 @@ class ProcessPoolBackend:
                     except OSError:
                         pass
                     continue
-                (ticket, status, *payload), health = msg
+                (ticket, status, payload), health = msg
                 with self._lock:
                     worker = self._workers.get(health["worker_id"])
                     if worker is not None:
@@ -528,8 +503,10 @@ class ProcessPoolBackend:
         worker.buf[slot] = 0
         return slot
 
-    def _release_slots(self, worker: _Worker, slots) -> None:
+    def _release(self, worker: _Worker, slots) -> None:
+        """Return a finished job's slots and pending count to ``worker``."""
         with self._lock:
+            worker.pending -= 1
             for slot in slots:
                 if slot is not None:
                     worker.free.append(slot)
@@ -551,161 +528,102 @@ class ProcessPoolBackend:
                 pass
             self._start_worker_locked(worker.id, slab=worker.slab)
 
-    def _await(self, worker: _Worker, ticket: int, watch, slots) -> tuple:
+    def _await(self, worker: _Worker, ticket: int, watch) -> tuple:
         """Wait for a reply, propagating cancels and detecting death.
 
         ``watch`` is ``[(token, slot), ...]`` — cancel tokens mirrored into
         the worker's slab while the job runs.
         """
         fl = self._inflight[ticket]
-        try:
-            while not fl.event.wait(_POLL):
-                for token, slot in watch:
-                    if (
-                        token is not None and slot is not None
-                        and token.cancelled() and worker.buf[slot] == 0
-                    ):
-                        worker.buf[slot] = 1
-                if not worker.process.is_alive():
-                    # Give the reply a final chance to drain (the worker may
-                    # have replied, then exited) before declaring death.
-                    if fl.event.wait(0.2):
-                        break
-                    self._revive(worker)
-                    raise ExecutionError(
-                        f"solve worker {worker.id} "
-                        f"(pid {worker.health.get('pid')}) died mid-job; "
-                        "respawned — retry"
-                    )
-            return fl.status, fl.payload
-        finally:
-            with self._lock:
-                self._inflight.pop(ticket, None)
-                worker.pending -= 1
-            self._release_slots(worker, slots)
-
-    def _dispatch(self, job: dict, affinity, watch_tokens) -> tuple:
-        """Ship one job; returns ``(status, payload)`` or ``None`` when the
-        job cannot pickle (caller runs it inline)."""
-        worker = self._pick(affinity)
-        slots: list[int | None] = []
-        try:
-            if job["kind"] == "batch":
-                for it, (token, _) in zip(job["items"], watch_tokens):
-                    slot = self._alloc_slot(worker)
-                    it["slot"] = slot
-                    slots.append(slot)
-                watch = [
-                    (token, slot)
-                    for (token, _), slot in zip(watch_tokens, slots)
-                ]
-            else:
-                slot = self._alloc_slot(worker)
-                job["slot"] = slot
-                slots = [slot]
-                watch = [(watch_tokens[0][0], slot)]
-            ticket = next(self._tickets)
-            try:
-                payload = pickle.dumps(
-                    (ticket, job), protocol=pickle.HIGHEST_PROTOCOL
+        while not fl.event.wait(_POLL):
+            for token, slot in watch:
+                if (
+                    token is not None and slot is not None
+                    and token.cancelled() and worker.buf[slot] == 0
+                ):
+                    worker.buf[slot] = 1
+            if not worker.process.is_alive():
+                # Give the reply a final chance to drain (the worker may
+                # have replied, then exited) before declaring death.
+                if fl.event.wait(0.2):
+                    break
+                self._revive(worker)
+                raise ExecutionError(
+                    f"solve worker {worker.id} "
+                    f"(pid {worker.health.get('pid')}) died mid-job; "
+                    "respawned — retry"
                 )
-            except Exception:
-                self._inline += 1
-                get_metrics().counter("serve.backend.inline").inc()
-                self._release_slots(worker, slots)
-                with self._lock:
-                    worker.pending -= 1
-                return None
+        return fl.status, fl.payload
+
+    def _run(self, items: list[BatchItem], affinity) -> list:
+        """Ship ``items`` as one job; one outcome per item, in order.
+
+        Each item travels with its control plane split off: the deadline
+        stays on the item (an absolute monotonic time), the cancel token
+        becomes a slab slot the worker polls. A job that cannot pickle runs
+        inline on this thread instead. A job-level failure (worker death,
+        a closed backend) becomes every item's outcome, so the service's
+        retry path sees it.
+        """
+        try:
+            worker = self._pick(affinity if affinity is not None
+                                else items[0].key)
+        except ExecutionError as exc:
+            return [exc] * len(items)
+        slots = [self._alloc_slot(worker) for _ in items]
+        shipped = [
+            replace(
+                item, cancel_token=None,
+                options=None if item.options is None
+                else item.options.replace(deadline=None, cancel_token=None),
+            )
+            for item in items
+        ]
+        ticket = next(self._tickets)
+        try:
+            payload = pickle.dumps(
+                (ticket, shipped, slots), protocol=pickle.HIGHEST_PROTOCOL
+            )
+        except Exception:
+            self._release(worker, slots)
+            self._inline += 1
+            get_metrics().counter("serve.backend.inline").inc()
+            return _outcomes(items, self.framework)
+        try:
             with self._lock:
                 self._inflight[ticket] = _Inflight()
             get_metrics().counter("serve.backend.dispatched").inc()
             worker.inbox.put(payload)
-        except ExecutionError:
-            raise
-        except Exception:
-            self._release_slots(worker, slots)
+            status, body = self._await(
+                worker, ticket,
+                [(item.cancel_token, slot) for item, slot in zip(items, slots)],
+            )
+        except Exception as exc:  # noqa: BLE001 - every item's outcome
+            return [exc] * len(items)
+        finally:
             with self._lock:
-                worker.pending -= 1
-            raise
-        return self._await(worker, ticket, watch, slots)
+                self._inflight.pop(ticket, None)
+            self._release(worker, slots)
+        if status == "err":
+            # A whole-job failure (decode, export): every item gets it.
+            return [body] * len(items)
+        return [
+            materialize_result(entry[1], entry[2]) if entry[0] == "ok"
+            else entry[1]
+            for entry in body
+        ]
 
     # -- the backend interface -------------------------------------------------
 
-    def execute(
-        self, *, problem, executor, params, options, functional,
-        affinity=None,
-    ) -> SolveResult:
-        deadline = options.deadline if options is not None else None
-        token = options.cancel_token if options is not None else None
-        shipped = (
-            None if options is None
-            else options.replace(deadline=None, cancel_token=None)
-        )
-        job = {
-            "kind": "solve",
-            "problem": problem,
-            "executor": executor,
-            "params": params,
-            "options": shipped,
-            "functional": functional,
-            "deadline": deadline,  # absolute monotonic: system-wide clock
-            "slot": None,
-        }
-        outcome = self._dispatch(job, affinity, [(token, None)])
-        if outcome is None:  # unpicklable problem: run on this thread
-            run = (
-                self.framework.solve if functional
-                else self.framework.estimate
-            )
-            return run(
-                problem, executor=executor, params=params, options=options
-            )
-        status, payload = outcome
-        if status == "err":
-            raise payload[0]
-        meta, descriptor = payload
-        return materialize_result(meta, descriptor)
+    def execute(self, item: BatchItem, affinity=None) -> SolveResult:
+        """Run one request in a worker; ``affinity`` defaults to its key."""
+        return _only(self._run([item], affinity))
 
     def execute_batch(self, items: list[BatchItem], affinity=None) -> list:
-        shipped = []
-        tokens = []
-        for item in items:
-            opts = item.options
-            if opts is not None:
-                opts = opts.replace(deadline=None, cancel_token=None)
-            shipped.append({
-                "problem": item.problem,
-                "executor": item.executor,
-                "options": opts,
-                "params": item.params,
-                "functional": item.functional,
-                "deadline": item.deadline,
-                "key": item.key,
-                "slot": None,
-            })
-            tokens.append((item.cancel_token, None))
-        job = {"kind": "batch", "items": shipped}
-        outcome = self._dispatch(job, affinity, tokens)
-        if outcome is None:
-            return execute_items(items, self.framework)
-        status, payload = outcome
-        if status == "err":
-            # A whole-batch failure (decode, injected worker fault): every
-            # member gets the exception; the service retries them solo.
-            return [payload[0]] * len(items)
-        results = []
-        for entry in payload[0]:
-            if entry[0] == "ok":
-                results.append(materialize_result(entry[1], entry[2]))
-            else:
-                results.append(entry[1])
-        return results
+        """Run a coalesced group as one job in one worker."""
+        return self._run(items, affinity)
 
     # -- lifecycle / introspection ---------------------------------------------
-
-    def worker_count(self) -> int:
-        with self._lock:
-            return len(self._workers)
 
     def resize(self, target: int) -> None:
         """Grow or shrink the pool to ``target`` processes.

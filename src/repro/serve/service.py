@@ -58,7 +58,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Iterable
 
-from ..batch import BatchItem, batch_key
+from ..batch import BatchItem, batch_key, item_options
 from ..cancel import CancelToken
 from ..core.framework import Framework
 from ..core.problem import LDDPProblem
@@ -71,7 +71,7 @@ from ..errors import (
     SolveCancelled,
 )
 from ..delta import delta_applicable, delta_key, delta_patch
-from ..exec.base import ExecOptions, SolveResult
+from ..exec.base import SolveResult
 from ..faults import check_fault
 from ..machine.platform import Platform
 from ..obs import get_metrics, get_tracer
@@ -86,6 +86,7 @@ from .shm import SegmentIndex
 __all__ = ["PendingSolve", "SolveService"]
 
 _BATCH_KEY_UNSET = object()  # memo sentinel for PendingSolve._batch_key
+_SETTLED = object()  # triage outcome: the request needs no execution
 
 
 class PendingSolve:
@@ -149,23 +150,7 @@ class PendingSolve:
         :class:`concurrent.futures.TimeoutError` when the caller's
         ``timeout`` elapses first.
         """
-        budget = timeout
-        if self.deadline is not None:
-            remaining = self.deadline - time.monotonic()
-            budget = remaining if budget is None else min(budget, remaining)
-        try:
-            return self._future.exception(budget)
-        except FutureTimeoutError:
-            if (
-                self.deadline is not None
-                and time.monotonic() >= self.deadline
-                and not self._future.done()
-            ):
-                raise ServiceTimeout(
-                    f"request for {self.request.problem.name!r} exceeded its "
-                    f"{self.request.timeout!r} s timeout"
-                ) from None
-            raise
+        return self._wait(self._future.exception, timeout)
 
     def result(self, timeout: float | None = None) -> SolveResult:
         """Wait for the result.
@@ -174,12 +159,16 @@ class PendingSolve:
         passed, :class:`concurrent.futures.TimeoutError` if the caller's
         ``timeout`` elapses first, or the worker's exception on failure.
         """
+        return self._wait(self._future.result, timeout)
+
+    def _wait(self, get, timeout: float | None):
+        """Call the future's ``get`` within the caller's and our deadline."""
         budget = timeout
         if self.deadline is not None:
             remaining = self.deadline - time.monotonic()
             budget = remaining if budget is None else min(budget, remaining)
         try:
-            return self._future.result(budget)
+            return get(budget)
         except FutureTimeoutError:
             if (
                 self.deadline is not None
@@ -245,9 +234,10 @@ class SolveService:
         self._rng = random.Random()
         self._workers: list[threading.Thread] = []
         self._all_workers: list[threading.Thread] = []
-        self._backend = make_backend(
-            config, self.framework, lambda: len(self._workers)
-        )
+        self._backend = make_backend(config, self.framework)
+        # Batch keys are computed only where something reads them: the
+        # coalescer groups by them, the process backend shards by them.
+        self._keyed = config.coalesce_window > 0 or config.backend == "process"
         self.cache: ResultCache | SegmentIndex | None = None
         if config.cache_size > 0:
             self.cache = (
@@ -652,7 +642,7 @@ class SolveService:
                 if self.coalesce_window > 0:
                     self._process_coalesced(pending)
                 else:
-                    self._process(pending)
+                    self._process([pending])
             finally:
                 with self._lock:
                     self._busy -= 1
@@ -710,70 +700,162 @@ class SolveService:
         delay = min(self.backoff_max, self.backoff_base * 2 ** (attempt - 1))
         return delay * (0.5 + self._rng.random())
 
-    def _process(self, pending: PendingSolve) -> None:
+    def _span(self, pending: PendingSolve, coalesced: int = 1):
+        """The ``serve.request`` span of one request's effective plan."""
+        request = pending.request
+        attrs = {}
+        if pending.downgraded is not None:
+            attrs["downgraded"] = pending.downgraded
+        if coalesced > 1:
+            attrs["coalesced"] = coalesced
+        return get_tracer().span(
+            "serve.request", cat="serve", problem=request.problem.name,
+            executor=pending.effective_executor, priority=request.priority,
+            **attrs,
+        )
+
+    def _triage(self, pending: PendingSolve):
+        """Claim one request and settle it if it needs no execution.
+
+        Returns ``_SETTLED`` when the request was cancelled while queued,
+        expired in the queue or hit the cache; otherwise its cache key
+        (``None`` when uncacheable): the request still has to run.
+        """
         metrics = get_metrics()
-        tracer = get_tracer()
         request = pending.request
         if not pending._future.set_running_or_notify_cancel():
             metrics.counter("serve.requests.cancelled").inc()
-            return
-        wait_ms = (time.monotonic() - pending.submitted_at) * 1e3
-        metrics.histogram("serve.queue_wait_ms").observe(wait_ms)
-        with tracer.span(
-            "serve.request",
-            cat="serve",
-            problem=request.problem.name,
-            executor=pending.effective_executor,
-            priority=request.priority,
-        ) as span:
-            if pending.downgraded is not None:
-                span.set(downgraded=pending.downgraded)
-            if (
-                pending.deadline is not None
-                and time.monotonic() >= pending.deadline
-            ):
-                metrics.counter("serve.requests.timeout").inc()
+            return _SETTLED
+        metrics.histogram("serve.queue_wait_ms").observe(
+            (time.monotonic() - pending.submitted_at) * 1e3
+        )
+        if pending.deadline is not None and time.monotonic() >= pending.deadline:
+            metrics.counter("serve.requests.timeout").inc()
+            with self._span(pending) as span:
                 span.set(outcome="timeout")
-                pending._future.set_exception(
-                    ServiceTimeout(
-                        f"request for {request.problem.name!r} expired after "
-                        f"{request.timeout or self.default_timeout!r} s in "
-                        "the queue"
-                    )
+            pending._future.set_exception(ServiceTimeout(
+                f"request for {request.problem.name!r} expired after "
+                f"{request.timeout or self.default_timeout!r} s in the queue"
+            ))
+            return _SETTLED
+        key = None
+        if self.cache is not None and request.cacheable:
+            key = request_key(
+                request,
+                self.framework.platform,
+                request.options or self.framework.options,
+                executor=pending.effective_executor,
+                functional=pending.effective_functional,
+            )
+            hit = self.cache.get(key)
+            if hit is not None:
+                pending.cache_hit = True
+                metrics.counter("serve.cache.hits").inc()
+                metrics.histogram("serve.latency_ms").observe(
+                    (time.monotonic() - pending.submitted_at) * 1e3
                 )
-                return
-
-            key = None
-            if self.cache is not None and request.cacheable:
-                key = request_key(
-                    request,
-                    self.framework.platform,
-                    request.options or self.framework.options,
-                    executor=pending.effective_executor,
-                    functional=pending.effective_functional,
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    pending.cache_hit = True
-                    metrics.counter("serve.cache.hits").inc()
-                    metrics.histogram("serve.latency_ms").observe(
-                        (time.monotonic() - pending.submitted_at) * 1e3
-                    )
-                    metrics.counter("serve.requests.completed").inc()
+                metrics.counter("serve.requests.completed").inc()
+                with self._span(pending) as span:
                     span.set(outcome="hit")
-                    pending._future.set_result(hit)
-                    return
-                metrics.counter("serve.cache.misses").inc()
+                pending._future.set_result(hit)
+                return _SETTLED
+            metrics.counter("serve.cache.misses").inc()
+        pending.cache_hit = False
+        return key
 
-            pending.cache_hit = False
-            self._attempt(pending, span, key)
+    def _process(self, members: list[PendingSolve]) -> None:
+        """Resolve claimed requests: triage each, then run the survivors.
+
+        A lone request is a group of one. Per member, in order: claim the
+        future (drop if cancelled), fail an expired deadline, serve a cache
+        hit — all *before* execution, so a cached or dead request never
+        pays for a run. A single survivor takes the per-request path
+        (:meth:`_attempt`). Several run as one
+        :func:`repro.batch.execute_items` group with their deadlines and
+        cancel tokens live per wavefront; a member whose batched run fails
+        retryably falls back to the per-request path.
+        """
+        run = []
+        for pending in members:
+            key = self._triage(pending)
+            if key is not _SETTLED:
+                run.append((pending, key))
+        if not run:
+            return
+        if len(run) == 1:
+            pending, key = run[0]
+            with self._span(pending) as span:
+                self._attempt(pending, span, key)
+            return
+
+        metrics = get_metrics()
+        metrics.counter("batch.coalesced").inc(len(run))
+        items = [self._item(pending, k) for k, (pending, _) in enumerate(run)]
+        started = time.monotonic()
+        with metrics.histogram("serve.execute_ms").time():
+            outcomes = self._backend.execute_batch(items)
+        # Calibrate on the *marginal* cost: the batch amortises one sweep
+        # over len(run) members, so each member's observed wall share is the
+        # honest per-request price for future coalesced admissions.
+        member_wall = (time.monotonic() - started) / len(run)
+        for (pending, key), outcome in zip(run, outcomes):
+            with self._span(pending, coalesced=len(run)) as span:
+                if isinstance(outcome, SolveResult):
+                    self._observe_run(pending, member_wall)
+                    self._finish(pending, span, key, outcome)
+                elif isinstance(outcome, (SolveCancelled, ServiceTimeout)):
+                    self._stop(pending, span, outcome)
+                else:
+                    # Retryable failure inside the batch: this member gets
+                    # the full per-request retry path (fresh attempts — the
+                    # batched try was the free one).
+                    span.set(batch_failed=type(outcome).__name__)
+                    self._attempt(pending, span, key)
+
+    def _item(self, pending: PendingSolve, index: int = 0) -> BatchItem:
+        """One request as a :class:`~repro.batch.BatchItem` for a backend.
+
+        The item carries the effective plan and the control plane: its
+        deadline is the earlier of the request's and its options' own, and
+        the request's cancel token rides along
+        (:func:`repro.batch.item_options` merges both into the run's
+        options). The batch key is set only when something reads it.
+        """
+        request = pending.request
+        options = request.options or self.framework.options
+        deadline = pending.deadline
+        if options.deadline is not None:
+            deadline = (
+                options.deadline if deadline is None
+                else min(deadline, options.deadline)
+            )
+        return BatchItem(
+            index=index,
+            problem=request.problem,
+            executor=pending.effective_executor,
+            options=options,
+            params=request.params,
+            functional=pending.effective_functional,
+            deadline=deadline,
+            cancel_token=pending.cancel_token,
+            key=self._batch_key_of(pending) if self._keyed else None,
+        )
+
+    def _stop(self, pending: PendingSolve, span, exc: Exception) -> None:
+        """Settle a run that its own cancel token or deadline stopped."""
+        cancelled = isinstance(exc, SolveCancelled)
+        get_metrics().counter(
+            "serve.requests.aborted" if cancelled else "serve.requests.timeout"
+        ).inc()
+        span.set(outcome="cancelled" if cancelled else "timeout")
+        pending._future.set_exception(exc)
 
     def _attempt(self, pending: PendingSolve, span, key) -> None:
         """The retry loop for one claimed request: execute, back off, finish.
 
         ``span`` is the request's open ``serve.request`` span; ``key`` its
-        cache key (``None`` when uncacheable). Shared by the per-request
-        path and the coalescer's per-member fallback after a batch failure.
+        cache key (``None`` when uncacheable). Runs a lone request, and a
+        coalesced member whose batched run failed.
 
         With ``ExecOptions.delta`` the delta tier runs first: an exact-miss
         request with a cached near-match base is served by patching the
@@ -786,32 +868,26 @@ class SolveService:
         """
         metrics = get_metrics()
         request = pending.request
+        item = self._item(pending)
         trail: list = []
         attempts = 0
         while True:
             try:
                 result = (
-                    self._try_delta(pending, span, key, trail)
+                    self._try_delta(pending, item, span, key, trail)
                     if attempts == 0 else None
                 )
                 if result is None:
                     check_fault("serve.execute")
                     started = time.monotonic()
                     with metrics.histogram("serve.execute_ms").time():
-                        result = self._execute(request, pending)
+                        result = self._backend.execute(item)
                     self._observe_run(pending, time.monotonic() - started)
                 break
-            except SolveCancelled as exc:
-                metrics.counter("serve.requests.aborted").inc()
-                span.set(outcome="cancelled")
-                pending._future.set_exception(exc)
-                return
-            except ServiceTimeout as exc:
-                # The executor hit the deadline mid-run; the worker is
-                # free again within one wavefront. Never retried.
-                metrics.counter("serve.requests.timeout").inc()
-                span.set(outcome="timeout")
-                pending._future.set_exception(exc)
+            except (SolveCancelled, ServiceTimeout) as exc:
+                # The executor hit the deadline or the token mid-run; the
+                # worker is free again within one wavefront. Never retried.
+                self._stop(pending, span, exc)
                 return
             except Exception as exc:  # noqa: BLE001 - surfaced via future
                 attempts += 1
@@ -867,7 +943,7 @@ class SolveService:
         return memo
 
     def _try_delta(
-        self, pending: PendingSolve, span, key, trail: list
+        self, pending: PendingSolve, item: BatchItem, span, key, trail: list
     ) -> SolveResult | None:
         """Serve an exact-cache miss by patching a near-match base, if any.
 
@@ -900,7 +976,7 @@ class SolveService:
                 base_payload,
                 base_result,
                 platform=self.framework.platform,
-                options=self._control_options(request, pending),
+                options=item_options(item, self.framework),
                 executor=pending.effective_executor,
             ),
             executor=pending.effective_executor, problem=request.problem.name,
@@ -982,7 +1058,7 @@ class SolveService:
         """Coalescing entry point: drain compatible requests, then execute."""
         key = self._batch_key_of(leader)
         if key is None:
-            self._process(leader)
+            self._process([leader])
             return
         # Register the in-flight key so admission can price a compatible
         # late arrival at its marginal (coalesced) cost, not full freight.
@@ -992,11 +1068,7 @@ class SolveService:
                     self._active_batch_keys.get(key, 0) + 1
                 )
         try:
-            members = self._drain_compatible(leader, key)
-            if not members:
-                self._process(leader)
-                return
-            self._process_batch([leader] + members)
+            self._process([leader] + self._drain_compatible(leader, key))
         finally:
             if self.slo is not None:
                 with self._lock:
@@ -1044,198 +1116,3 @@ class SolveService:
                     break
                 self._not_empty.wait(remaining)
         return members
-
-    def _process_batch(self, members: list[PendingSolve]) -> None:
-        """Resolve a coalesced set: short-circuit, batch-execute, scatter.
-
-        Per member, in order: claim the future (drop if cancelled), fail
-        expired deadlines, serve cache hits — all *before* batch execution,
-        so a cached or dead request never pays for the batch. Survivors run
-        as one :func:`repro.batch.execute_items` group with their deadlines
-        and cancel tokens live per wavefront; a member whose batched run
-        fails retryably falls back to the per-request retry path.
-        """
-        metrics = get_metrics()
-        tracer = get_tracer()
-        run: list[tuple[PendingSolve, object]] = []
-        for pending in members:
-            request = pending.request
-            if not pending._future.set_running_or_notify_cancel():
-                metrics.counter("serve.requests.cancelled").inc()
-                continue
-            metrics.histogram("serve.queue_wait_ms").observe(
-                (time.monotonic() - pending.submitted_at) * 1e3
-            )
-            if (
-                pending.deadline is not None
-                and time.monotonic() >= pending.deadline
-            ):
-                metrics.counter("serve.requests.timeout").inc()
-                with tracer.span(
-                    "serve.request", cat="serve",
-                    problem=request.problem.name, executor=request.executor,
-                    priority=request.priority,
-                ) as span:
-                    span.set(outcome="timeout")
-                pending._future.set_exception(
-                    ServiceTimeout(
-                        f"request for {request.problem.name!r} expired "
-                        f"after {request.timeout or self.default_timeout!r}"
-                        " s in the queue"
-                    )
-                )
-                continue
-            key = None
-            if self.cache is not None and request.cacheable:
-                key = request_key(
-                    request,
-                    self.framework.platform,
-                    request.options or self.framework.options,
-                    executor=pending.effective_executor,
-                    functional=pending.effective_functional,
-                )
-                hit = self.cache.get(key)
-                if hit is not None:
-                    pending.cache_hit = True
-                    metrics.counter("serve.cache.hits").inc()
-                    metrics.histogram("serve.latency_ms").observe(
-                        (time.monotonic() - pending.submitted_at) * 1e3
-                    )
-                    metrics.counter("serve.requests.completed").inc()
-                    with tracer.span(
-                        "serve.request", cat="serve",
-                        problem=request.problem.name,
-                        executor=pending.effective_executor,
-                        priority=request.priority,
-                    ) as span:
-                        span.set(outcome="hit")
-                    pending._future.set_result(hit)
-                    continue
-                metrics.counter("serve.cache.misses").inc()
-            pending.cache_hit = False
-            run.append((pending, key))
-
-        if not run:
-            return
-        if len(run) == 1:
-            pending, key = run[0]
-            request = pending.request
-            with tracer.span(
-                "serve.request",
-                cat="serve",
-                problem=request.problem.name,
-                executor=request.executor,
-                priority=request.priority,
-            ) as span:
-                self._attempt(pending, span, key)
-            return
-
-        metrics.counter("batch.coalesced").inc(len(run))
-        items = []
-        for k, (pending, _) in enumerate(run):
-            request = pending.request
-            base = request.options or self.framework.options
-            deadline = pending.deadline
-            if base.deadline is not None:
-                deadline = (
-                    base.deadline if deadline is None
-                    else min(deadline, base.deadline)
-                )
-            items.append(BatchItem(
-                index=k,
-                problem=request.problem,
-                executor=pending.effective_executor,
-                options=base,
-                params=request.params,
-                functional=pending.effective_functional,
-                deadline=deadline,
-                cancel_token=pending.cancel_token,
-                key=self._batch_key_of(pending),
-            ))
-        affinity = (
-            items[0].key if self._backend.kind == "process" else None
-        )
-        started = time.monotonic()
-        with metrics.histogram("serve.execute_ms").time():
-            outcomes = self._backend.execute_batch(items, affinity=affinity)
-        # Calibrate on the *marginal* cost: the batch amortises one sweep
-        # over len(run) members, so each member's observed wall share is the
-        # honest per-request price for future coalesced admissions.
-        member_wall = (time.monotonic() - started) / len(run)
-        for (pending, key), outcome in zip(run, outcomes):
-            request = pending.request
-            with tracer.span(
-                "serve.request",
-                cat="serve",
-                problem=request.problem.name,
-                executor=pending.effective_executor,
-                priority=request.priority,
-                coalesced=len(run),
-            ) as span:
-                if isinstance(outcome, SolveResult):
-                    self._observe_run(pending, member_wall)
-                    self._finish(pending, span, key, outcome)
-                elif isinstance(outcome, SolveCancelled):
-                    metrics.counter("serve.requests.aborted").inc()
-                    span.set(outcome="cancelled")
-                    pending._future.set_exception(outcome)
-                elif isinstance(outcome, ServiceTimeout):
-                    metrics.counter("serve.requests.timeout").inc()
-                    span.set(outcome="timeout")
-                    pending._future.set_exception(outcome)
-                else:
-                    # Retryable failure inside the batch: this member gets
-                    # the full per-request retry path (fresh attempts — the
-                    # batched try was the free one).
-                    span.set(batch_failed=type(outcome).__name__)
-                    self._attempt(pending, span, key)
-
-    def _control_options(
-        self, request: SolveRequest, pending: PendingSolve
-    ) -> ExecOptions:
-        """The request's effective options with its control plane injected.
-
-        Merges the pending deadline with any options-level one (earlier
-        wins) and threads the per-request cancel token; both fields are
-        ``repr``-excluded, so cache keys are unaffected. Shared by the
-        backend execution path and the delta patch, which must honor the
-        same deadline/cancellation contract.
-        """
-        base = request.options or self.framework.options
-        deadline = pending.deadline
-        if base.deadline is not None:
-            deadline = (
-                base.deadline if deadline is None
-                else min(deadline, base.deadline)
-            )
-        if deadline is not None or pending.cancel_token is not None:
-            return base.replace(
-                deadline=deadline, cancel_token=pending.cancel_token
-            )
-        return base
-
-    def _execute(self, request: SolveRequest, pending: PendingSolve) -> SolveResult:
-        """One backend run with the request's control plane injected.
-
-        The deadline and cancel token are threaded into the run's
-        :class:`~repro.exec.base.ExecOptions` *after* cache-key computation
-        (both fields are ``repr``-excluded, so keys stay stable either
-        way); a request-level options deadline, if any, is tightened to the
-        earlier of the two. On the process backend, the request's batch key
-        rides along as the sharding affinity — batch-compatible requests
-        consistently hash to the same worker process, whose plan cache
-        stays warm for that shape.
-        """
-        options = self._control_options(request, pending)
-        affinity = (
-            self._batch_key_of(pending)
-            if self._backend.kind == "process" else None
-        )
-        return self._backend.execute(
-            problem=request.problem,
-            executor=pending.effective_executor,
-            params=request.params,
-            options=options,
-            functional=pending.effective_functional,
-            affinity=affinity,
-        )

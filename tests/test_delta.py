@@ -45,6 +45,7 @@ from repro.machine.platform import hetero_high
 from repro.obs import get_metrics
 from repro.problems.checkerboard import make_checkerboard
 from repro.problems.levenshtein import make_levenshtein
+from repro.problems.needleman_wunsch import make_needleman_wunsch
 from repro.serve import ResultCache, ServiceConfig, SolveRequest, SolveService
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -438,6 +439,24 @@ class TestCacheBaseIndex:
         assert metrics.counter("delta.solved").value == before + 1
         assert stats["delta_candidates"] >= 1
         assert stats["delta_hits"] >= 1
+
+    def test_scalar_gap_edit_matches_a_fresh_solve(self):
+        # The gap lives in the payload and seeds the boundary through init:
+        # a served edit of it — patched or degraded — equals a fresh solve
+        # of a problem built with that gap.
+        base = make_needleman_wunsch(32)
+        edited = replace(base, payload=dict(base.payload, gap=-3))
+        fresh = FRAMEWORK.solve(make_needleman_wunsch(32, gap=-3),
+                                executor="cpu").table
+        assert not np.array_equal(
+            FRAMEWORK.solve(base, executor="cpu").table, fresh)
+        cfg = ServiceConfig(workers=1, options=ExecOptions(delta=True))
+        with SolveService(hetero_high(), config=cfg) as svc:
+            svc.submit(SolveRequest(base)).result()
+            served = svc.submit(SolveRequest(edited)).result()
+        assert (served.stats.get("solver") == "delta"
+                or served.stats.get("degraded") == "full-solve")
+        assert served.table.tobytes() == fresh.tobytes()
 
     def test_delta_off_by_default(self):
         base = make_levenshtein(48)

@@ -9,9 +9,12 @@ pickle-by-reference round trip the worker initializer depends on.
 from __future__ import annotations
 
 import gc
+import multiprocessing as mp
 import os
+import pickle
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro import ContributingSet, Framework, LDDPProblem
 from repro.exec import SequentialExecutor
 from repro.exec.base import register_executor, unregister_executor
 from repro.machine.platform import hetero_high
+from repro.obs import MetricsRegistry, get_metrics, set_metrics
 from repro.problems import make_lcs, make_levenshtein
 from repro.serve import ServiceConfig, SolveService
 from repro.serve.shm import live_segment_count
@@ -41,6 +45,15 @@ class TaggingExecutor(SequentialExecutor):
 def quirk_cell(ctx):
     """A cell function that does not ship with the library."""
     return np.maximum(ctx.w, ctx.n) + ctx.payload["step"][ctx.j - 1]
+
+
+def dying_cell(ctx):
+    """:func:`quirk_cell`, but its first call in a worker process kills it."""
+    flag = ctx.payload["flag"]
+    if mp.parent_process() is not None and not os.path.exists(flag):
+        open(flag, "w").close()
+        os._exit(1)
+    return quirk_cell(ctx)
 
 
 def _quirk_init(table, payload):
@@ -196,3 +209,90 @@ class TestBackendStats:
         for got, want in zip(results, oracle):
             assert np.array_equal(got.table, want.table)
         assert any(r.stats.get("batched", 0) > 1 for r in results)
+
+
+def _batch_metrics(snapshot: dict) -> dict:
+    return {name: entry for name, entry in snapshot.items()
+            if name.startswith("batch.")}
+
+
+def _solo_then_pair(problems, counter: str):
+    """Serve ``problems[0]`` alone, then ``problems[1:]`` as one coalesced
+    pair; returns the results, ``counter`` after each step and the batch
+    metrics seen after the solo request."""
+    metrics = get_metrics()
+    cfg = PROCESS.replace(coalesce_window=0.2)
+    with SolveService(hetero_high(), config=cfg) as svc:
+        solo = svc.solve(problems[0])
+        after_solo = metrics.counter(counter).value
+        workers = svc.stats()["backend"]["per_worker"].values()
+        solo_batch = [_batch_metrics(metrics.snapshot())] + [
+            _batch_metrics(h.get("metrics", {})) for h in workers
+        ]
+        pending = [svc.submit_problem(p) for p in problems[1:]]
+        pair = [p.result(timeout=120) for p in pending]
+        after_pair = metrics.counter(counter).value
+    oracle = [Framework(hetero_high()).solve(p, executor="sequential")
+              for p in problems]
+    for got, want in zip([solo] + pair, oracle):
+        assert got.table.tobytes() == want.table.tobytes()
+    assert "batched" not in solo.stats
+    assert all(r.stats["batched"] == 2 for r in pair)
+    return (after_solo, after_pair), solo_batch
+
+
+class TestOneJobFormat:
+    """A lone request and a coalesced group ship as the same job format."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_metrics(self):
+        previous = set_metrics(MetricsRegistry())
+        try:
+            yield
+        finally:
+            set_metrics(previous)
+
+    def test_solo_and_coalesced_jobs_dispatch_once_each(self):
+        problems = [make_quirk(24, seed=s) for s in range(3)]
+        counts, solo_batch = _solo_then_pair(
+            problems, "serve.backend.dispatched")
+        assert counts == (1, 2)
+        # a lone request counts in no batch.* metric, here or in a worker
+        assert solo_batch == [{}] * len(solo_batch)
+        assert get_metrics().counter("serve.backend.inline").value == 0
+
+    def test_unpicklable_cell_runs_inline_solo_and_coalesced(self):
+        def local_cell(ctx):  # local: pickles by reference only at top level
+            return np.maximum(ctx.w, ctx.n) + ctx.payload["step"][ctx.j - 1]
+
+        problems = [replace(make_quirk(24, seed=s), cell=local_cell)
+                    for s in range(3)]
+        with pytest.raises(Exception):
+            pickle.dumps(problems[0])
+        counts, solo_batch = _solo_then_pair(problems, "serve.backend.inline")
+        assert counts == (1, 2)
+        assert solo_batch == [{}] * len(solo_batch)
+        assert get_metrics().counter("serve.backend.dispatched").value == 0
+
+
+class TestWorkerDeath:
+    def test_death_mid_batch_retries_every_member(self, tmp_path):
+        # The worker dies inside a coalesced job; each member must take the
+        # per-request retry path (on the respawned worker), not strand its
+        # future with the dispatch thread.
+        flag = str(tmp_path / "died")
+        problems = []
+        for s in range(2):
+            base = make_quirk(24, seed=s)
+            problems.append(replace(base, cell=dying_cell,
+                                    payload=dict(base.payload, flag=flag)))
+        cfg = PROCESS.replace(coalesce_window=0.2)
+        with SolveService(hetero_high(), config=cfg) as svc:
+            pending = [svc.submit_problem(p) for p in problems]
+            results = [p.result(timeout=60) for p in pending]
+            assert svc.stats()["backend"]["restarts"] == 1
+        assert os.path.exists(flag)
+        for problem, got in zip(problems, results):
+            want = Framework(hetero_high()).solve(
+                replace(problem, cell=quirk_cell), executor="sequential")
+            assert got.table.tobytes() == want.table.tobytes()

@@ -577,6 +577,41 @@ class TestCoalescedPricing:
 
             assert wait_until(drained)
 
+    def test_coalescer_spans_carry_the_effective_plan(self):
+        """A down-tiered request reports ``cpu`` and its reason on every
+        coalescer path: alone after its batch-mate expired in the queue,
+        and on the expired mate's own span."""
+        from repro.errors import ServiceTimeout
+        from repro.obs import Tracer, use_tracer
+
+        tracer = Tracer()
+        cfg = ServiceConfig(workers=1, cache_size=0, coalesce_window=0.3,
+                            slo=strict_policy())
+        with use_tracer(tracer):
+            with SolveService(config=cfg) as svc:
+                units = svc._pricer.units(make_costs_problem(16))
+                # hetero misses any deadline here, cpu fits easily
+                svc._pricer.observe("hetero", True, units=units, wall=100.0)
+                svc._pricer.observe("cpu", True, units=units, wall=1e-4)
+                leader = svc.submit(SolveRequest(
+                    make_costs_problem(16, seed=0), timeout=10.0))
+                # the worker holds the leader in its coalescing window
+                assert wait_until(lambda: svc.queue_depth() == 0)
+                mate = svc.submit(SolveRequest(
+                    make_costs_problem(16, seed=1), timeout=0.02))
+                result = leader.result()
+        assert leader.downgraded and mate.downgraded
+        assert result.table is not None
+        assert isinstance(mate.exception(), ServiceTimeout)
+        spans = {s.attrs["outcome"]: s.attrs for s in tracer.finished_spans()
+                 if s.name == "serve.request"}
+        assert set(spans) == {"uncached", "timeout"}
+        for attrs, pending in ((spans["uncached"], leader),
+                               (spans["timeout"], mate)):
+            assert attrs["executor"] == "cpu"
+            assert attrs["downgraded"] == pending.downgraded
+            assert "coalesced" not in attrs
+
 
 class TestEDFScheduling:
     def test_tighter_deadline_runs_first(self):
