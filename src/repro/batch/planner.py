@@ -8,10 +8,10 @@ together, amortizing schedule construction, kernel-plan compilation, timing
 simulation and per-wavefront dispatch across the whole stack.
 
 Two instances are *batch-compatible* when nothing that shapes the sweep
-differs: geometry (table shape, fixed boundary, contributing set), dtype,
-out-of-bounds fill, aux specs, work factors, payload byte volume, the cell
-and init function *code* (hashed with :mod:`repro.signature`, the same
-machinery behind the serve cache), the executor name, the effective
+differs: the recurrence (:func:`repro.signature.recurrence_digest` — every
+problem field but the name and the payload, the cell and init function
+*code* included, the same digest behind the serve cache), the payload byte
+volume, the executor name, the effective
 :class:`~repro.exec.base.ExecOptions` and params, and solve-vs-estimate
 mode. Payload *content* is deliberately absent: a batch of edit-distance
 requests over 64 different string pairs shares one :func:`batch_key`.
@@ -27,13 +27,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..cancel import CancelToken
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..exec.base import ExecOptions
-from ..signature import hash_callable, hash_value, update_hash
+from ..signature import payload_digest, recurrence_digest, update_hash
 
 __all__ = ["BatchItem", "BatchGroup", "BatchPlanner", "batch_key",
            "payload_fingerprint"]
@@ -56,34 +54,18 @@ def batch_key(
     ``deadline``/``cancel_token`` fields, so per-request deadlines never
     split a batch.
     """
+    recurrence = recurrence_digest(problem)
+    if recurrence is None:
+        # A cell/init whose identity cannot be content-keyed cannot prove
+        # compatibility with anything — solve it per-instance.
+        return None
     h = hashlib.sha256()
-    update_hash(h, "batch-key")
-    update_hash(h, "shape", repr(problem.shape).encode())
-    update_hash(h, "fixed",
-                f"{problem.fixed_rows}|{problem.fixed_cols}".encode())
-    update_hash(h, "contributing", repr(problem.contributing).encode())
-    update_hash(h, "dtype", str(problem.dtype).encode())
-    update_hash(h, "oob", repr(problem.oob_value).encode())
-    update_hash(h, "linear", repr(problem.linear).encode())
-    update_hash(h, "work",
-                f"{problem.cpu_work!r}|{problem.gpu_work!r}".encode())
-    update_hash(h, "aux", repr(sorted(
-        (k, str(np.dtype(v))) for k, v in problem.aux_specs.items()
-    )).encode())
+    update_hash(h, "batch-key", recurrence.encode())
     update_hash(h, "payload-bytes", repr(problem.payload_nbytes()).encode())
     update_hash(h, "executor", executor.encode())
     update_hash(h, "options", repr(options or ExecOptions()).encode())
     update_hash(h, "params", repr(params).encode())
     update_hash(h, "functional", repr(functional).encode())
-    try:
-        hash_callable(h, problem.cell, "cell")
-        if problem.init is not None:
-            update_hash(h, "has-init")
-            hash_callable(h, problem.init, "init")
-    except Exception:
-        # A cell/init whose identity cannot be content-keyed cannot prove
-        # compatibility with anything — solve it per-instance.
-        return None
     return h.hexdigest()
 
 
@@ -95,12 +77,10 @@ def payload_fingerprint(problem: LDDPProblem) -> str | None:
     call can sweep the whole stack at once. Distinct payloads fall back to
     the per-instance *swept* tier — still one shared plan and stack.
     """
-    h = hashlib.sha256()
     try:
-        hash_value(h, problem.payload, "payload")
+        return payload_digest(problem.payload)
     except Exception:
         return None
-    return h.hexdigest()
 
 
 _KEY_FROM_FIELDS = object()  # BatchItem.key default: hash the item's fields

@@ -12,10 +12,10 @@ order.
 The tier upgrades the serve layer's exact-match result cache into a
 similarity-reuse layer:
 
-1. :func:`delta_key` indexes cached results by the *delta-stable* parts of
-   the batch compatibility key (shape / contributing set / dtype / cell
-   code / options — payload bytes excluded), so a near-duplicate request
-   can find a base instance its exact content signature missed.
+1. :func:`delta_key` indexes cached results by the problem's recurrence
+   digest plus the run's options (:func:`repro.signature.recurrence_digest`
+   — every field but the name and payload bytes), so a near-duplicate
+   request can find a base instance its exact content signature missed.
 2. :func:`payload_diff` structurally diffs the incoming payload against the
    base's stored snapshot (early-out when identical, degrade when shapes
    moved).
@@ -51,8 +51,7 @@ from .cone import (
     verify_locality,
 )
 from .diff import payload_diff
-from .key import delta_key
-from .patch import delta_applicable, delta_patch
+from .patch import delta_applicable, delta_key, delta_patch
 from .timing import delta_makespan, delta_timeline
 
 __all__ = [

@@ -25,16 +25,19 @@ but never wrong.  Timeouts and cancellations always surface.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Mapping
 
 import numpy as np
 
+from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
 from ..errors import DeltaUnsupported
 from ..exec.base import ExecOptions, SolveResult, check_control, evaluate_span
 from ..faults import check_fault
 from ..obs import get_metrics, get_tracer
 from ..patterns.registry import strategy_for
+from ..signature import recurrence_digest, update_hash
 from .cone import (
     candidate_mask,
     forward_offsets,
@@ -46,7 +49,31 @@ from .cone import (
 from .diff import payload_diff
 from .timing import delta_timeline
 
-__all__ = ["delta_applicable", "delta_patch"]
+__all__ = ["delta_applicable", "delta_key", "delta_patch"]
+
+
+def delta_key(
+    problem: LDDPProblem,
+    *,
+    options: ExecOptions | None = None,
+    params: HeteroParams | None = None,
+) -> str | None:
+    """The near-match index key, or ``None`` when the cell fn is unkeyable.
+
+    The recurrence digest plus the semantic options: only the payload bytes
+    may differ between a base and its target, and the executor stays out
+    (every executor computes the same table). ``options`` should be the
+    effective options; its ``repr`` excludes ``deadline``/``cancel_token``,
+    so per-request deadlines never hide a usable base.
+    """
+    recurrence = recurrence_digest(problem)
+    if recurrence is None:
+        return None
+    h = hashlib.sha256()
+    update_hash(h, "delta-key", recurrence.encode())
+    update_hash(h, "options", repr(options or ExecOptions()).encode())
+    update_hash(h, "params", repr(params).encode())
+    return h.hexdigest()
 
 
 def delta_applicable(

@@ -10,8 +10,8 @@ this.
 Alongside the exact-match entries the cache keeps a **base-instance index**
 for the delta tier (:mod:`repro.delta`): one representative
 ``(payload snapshot, frozen result)`` per near-match key
-(:func:`repro.delta.delta_key` — the delta-stable parts of the batch key,
-payload excluded). An exact miss can then probe :meth:`get_base` for a
+(:func:`repro.delta.delta_key` — the recurrence digest plus the semantic
+options, payload excluded). An exact miss can then probe :meth:`get_base` for a
 near-duplicate base to patch instead of resolving from scratch. Base
 entries share the frozen result object with the exact entry, so the index
 costs one payload snapshot per key, not a second table copy.

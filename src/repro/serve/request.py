@@ -5,10 +5,11 @@ problem, the executor name, per-request :class:`~repro.exec.base.ExecOptions`,
 optional :class:`~repro.core.partition.HeteroParams`, a priority and a
 timeout — and computes a *content signature* at construction time.
 
-The signature is a SHA-256 over the problem's full observable content: name,
-geometry, contributing set, dtype, work factors, the cell function's compiled
-code (and any data its closure captures), and the payload *bytes*. Two
-requests share a cache entry iff nothing an executor can observe differs.
+The signature is a SHA-256 over the problem's full observable content: its
+name, its :func:`~repro.signature.recurrence_digest` (every other field,
+the cell and init code and any data their closures capture included) and
+the payload *bytes*. Two requests share a cache entry iff nothing an
+executor can observe differs.
 
 Mutability is the enemy of content keys, so construction also defends against
 callers mutating payload arrays after submission:
@@ -32,10 +33,10 @@ import numpy as np
 
 from ..core.partition import HeteroParams
 from ..core.problem import LDDPProblem
+from ..errors import CacheKeyError
 from ..exec.base import ExecOptions
 from ..machine.platform import Platform
-from ..signature import hash_callable as _hash_callable
-from ..signature import hash_value as _hash_value
+from ..signature import payload_digest, recurrence_digest
 from ..signature import update_hash as _update
 
 __all__ = ["SolveRequest", "problem_signature", "request_key"]
@@ -44,24 +45,22 @@ __all__ = ["SolveRequest", "problem_signature", "request_key"]
 def problem_signature(problem: LDDPProblem) -> str:
     """SHA-256 hex digest of everything an executor can observe.
 
-    Raises :class:`~repro.errors.CacheKeyError` if the payload holds values
-    without a well-defined content key.
+    Name + :func:`~repro.signature.recurrence_digest` +
+    :func:`~repro.signature.payload_digest`. Raises
+    :class:`~repro.errors.CacheKeyError` if the cell/init function or the
+    payload holds values without a well-defined content key.
     """
+    recurrence = recurrence_digest(problem)
+    if recurrence is None:
+        raise CacheKeyError(
+            f"{problem.name}: the cell/init function has no well-defined "
+            "content key — mark the request cacheable=False to bypass the "
+            "result cache"
+        )
     h = hashlib.sha256()
     _update(h, "name", problem.name.encode())
-    _update(h, "shape", repr(problem.shape).encode())
-    _update(h, "contributing", repr(problem.contributing).encode())
-    _update(h, "fixed", f"{problem.fixed_rows}|{problem.fixed_cols}".encode())
-    _update(h, "dtype", str(problem.dtype).encode())
-    _update(h, "oob", repr(problem.oob_value).encode())
-    _update(h, "work", f"{problem.cpu_work!r}|{problem.gpu_work!r}".encode())
-    _update(h, "aux", repr(sorted(
-        (k, str(np.dtype(v))) for k, v in problem.aux_specs.items()
-    )).encode())
-    _hash_callable(h, problem.cell, "cell")
-    if problem.init is not None:
-        _hash_callable(h, problem.init, "init")
-    _hash_value(h, problem.payload, "payload")
+    _update(h, "recurrence", recurrence.encode())
+    _update(h, "payload", payload_digest(problem.payload).encode())
     return h.hexdigest()
 
 

@@ -85,16 +85,27 @@ from .shm import SegmentIndex
 
 __all__ = ["PendingSolve", "SolveService"]
 
-_BATCH_KEY_UNSET = object()  # memo sentinel for PendingSolve._batch_key
+_UNSET = object()  # memo sentinel for PendingSolve's two content keys
 _SETTLED = object()  # triage outcome: the request needs no execution
+
+
+def _bump(counts: dict[str, int], key: str, by: int) -> None:
+    """Add ``by`` to ``counts[key]``, dropping a key whose count hits zero."""
+    count = counts.get(key, 0) + by
+    if count > 0:
+        counts[key] = count
+    else:
+        counts.pop(key, None)
 
 
 class PendingSolve:
     """Handle for one submitted request — a future with deadline semantics."""
 
-    def __init__(self, request: SolveRequest, deadline: float | None) -> None:
+    def __init__(self, request: SolveRequest) -> None:
         self.request = request
-        self.deadline = deadline
+        # SolveService.submit restarts the clock and sets the deadline when
+        # the request joins the queue, after pricing.
+        self.deadline: float | None = None
         self.submitted_at = time.monotonic()
         self.cache_hit: bool | None = None  # set by the worker
         # Effective execution plan: identical to the request unless the SLO
@@ -111,8 +122,8 @@ class PendingSolve:
             else CancelToken()
         )
         self._future: Future = Future()
-        self._batch_key = _BATCH_KEY_UNSET  # lazily memoized by the service
-        self._delta_key = _BATCH_KEY_UNSET  # near-match key, memoized too
+        self._batch_key = _UNSET  # lazily memoized by the service
+        self._delta_key = _UNSET  # near-match key, memoized too
         self._units: float | None = None  # closed-form price (SLO mode)
         self._priced_wall: float = 0.0  # predicted wall s, backlog accounting
 
@@ -311,46 +322,29 @@ class SolveService:
             # Estimate-only instances fail here, at submission, with a clear
             # error — not with a KeyError inside a worker thread.
             request.problem.require_solvable()
+        pending = PendingSolve(request)
         units = None
-        key = _BATCH_KEY_UNSET
         if self.slo is not None:
-            # Price outside the lock: batch-key hashing and the closed-form
-            # scan are pure, and the LRU makes repeat keys O(1).
-            key = batch_key(
-                request.problem,
-                executor=request.executor,
-                options=request.options or self.framework.options,
-                params=request.params,
-                functional=request.functional,
-            )
-            options = request.options or self.framework.options
-            delta_fraction = None
-            if (
-                options.delta
-                and request.functional
-                and isinstance(self.cache, ResultCache)
-                and delta_applicable(request.problem, options) is None
-            ):
-                dkey = delta_key(
-                    request.problem, options=options, params=request.params
-                )
-                if dkey is not None and self.cache.has_base(dkey):
-                    # A near-match base is cached: price the request as the
-                    # delta patch it will most likely run, not the full
-                    # solve it avoids. The suffixed LRU key keeps full and
-                    # delta prices for one batch shape apart.
-                    delta_fraction = self.slo.delta_cone_fraction
+            # Price outside the lock: key hashing and the closed-form scan
+            # are pure, and the LRU makes repeat keys O(1).
+            key = self._batch_key_of(pending)
+            dkey = self._delta_key_of(pending)
+            delta = dkey is not None and self.cache.has_base(dkey)
+            if delta and key is not None:
+                # A near-match base is cached: price the request as the
+                # delta patch it will most likely run, not the full solve
+                # it avoids. The suffixed LRU key keeps full and delta
+                # prices for one batch shape apart.
+                key += ":delta"
             units = self._pricer.units(
                 request.problem,
-                options=options,
+                options=request.options or self.framework.options,
                 params=request.params,
-                key=(
-                    key + ":delta"
-                    if (delta_fraction is not None and key is not None)
-                    else key
-                ),
+                key=key,
                 executor=request.executor,
-                delta_cone_fraction=delta_fraction,
+                delta_cone_fraction=(
+                    self.slo.delta_cone_fraction if delta else None
+                ),
             )
         with self._not_empty:
             if self._closed:
@@ -365,8 +359,9 @@ class SolveService:
                 request.timeout if request.timeout is not None
                 else self.default_timeout
             )
-            deadline = None if timeout is None else time.monotonic() + timeout
-            pending = PendingSolve(request, deadline)
+            pending.submitted_at = time.monotonic()
+            if timeout is not None:
+                pending.deadline = pending.submitted_at + timeout
             order = 0.0
             if self.slo is not None:
                 if self._quotas is not None and not self._quotas.admit(
@@ -379,14 +374,13 @@ class SolveService:
                         f"({self.slo.quota_for(request.tenant)!r}); "
                         "back off and retry"
                     )
-                pending._batch_key = key
                 pending._units = units
-                order = self._admit(pending, timeout, units, key, metrics)
+                order = self._admit(pending, timeout, units, metrics)
             self._seq += 1
             heapq.heappush(
                 self._queue, (request.priority, order, self._seq, pending)
             )
-            self._note_enqueued(pending)
+            self._note_queued(pending, 1)
             metrics.counter("serve.requests.submitted").inc()
             metrics.gauge("serve.queue.depth").set(len(self._queue))
             # notify_all, not notify: with coalescing on, a worker sitting in
@@ -396,7 +390,7 @@ class SolveService:
             self._not_empty.notify_all()
         return pending
 
-    def _admit(self, pending, timeout, units, key, metrics) -> float:
+    def _admit(self, pending, timeout, units, metrics) -> float:
         """SLO admission for one submission (caller holds the lock).
 
         Raises :class:`AdmissionRejected` for priced-out requests, applies
@@ -416,7 +410,7 @@ class SolveService:
                 backlog_wall=self._backlog_wall,
                 workers=len(self._workers),
                 downgradable=request.downgradable,
-                coalescible=self._coalescible(key),
+                coalescible=self._coalescible(self._batch_key_of(pending)),
                 extra_overhead=self._extra_overhead,
             )
             if not decision.admitted:
@@ -431,14 +425,8 @@ class SolveService:
                 pending.effective_functional = decision.functional
                 pending.downgraded = decision.reason
                 # The down-tiered run coalesces with its own kind, not with
-                # full-fidelity batch-mates: recompute the key.
-                pending._batch_key = batch_key(
-                    request.problem,
-                    executor=decision.executor,
-                    options=request.options or self.framework.options,
-                    params=request.params,
-                    functional=decision.functional,
-                )
+                # full-fidelity batch-mates: both keys follow the new plan.
+                pending._batch_key = pending._delta_key = _UNSET
                 self._counters["downgraded"] += 1
                 metrics.counter("serve.admission.downgraded").inc()
         self._counters["admitted"] += 1
@@ -469,25 +457,16 @@ class SolveService:
             self._queued_keys.get(key) or self._active_batch_keys.get(key)
         )
 
-    def _note_enqueued(self, pending: PendingSolve) -> None:
-        """Backlog/key accounting for one queued request (lock held)."""
-        self._backlog_wall += pending._priced_wall
+    def _note_queued(self, pending: PendingSolve, sign: int) -> None:
+        """Backlog/key accounting as ``pending`` joins (``sign=1``) or
+        leaves (``sign=-1``) the queue (lock held)."""
+        self._backlog_wall = max(
+            0.0, self._backlog_wall + sign * pending._priced_wall
+        )
         if self.coalesce_window > 0 and self.slo is not None:
-            key = pending._batch_key
-            if key is not _BATCH_KEY_UNSET and key is not None:
-                self._queued_keys[key] = self._queued_keys.get(key, 0) + 1
-
-    def _note_dequeued(self, pending: PendingSolve) -> None:
-        """Reverse of :meth:`_note_enqueued` (lock held)."""
-        self._backlog_wall = max(0.0, self._backlog_wall - pending._priced_wall)
-        if self.coalesce_window > 0 and self.slo is not None:
-            key = pending._batch_key
-            if key is not _BATCH_KEY_UNSET and key is not None:
-                count = self._queued_keys.get(key, 0) - 1
-                if count > 0:
-                    self._queued_keys[key] = count
-                else:
-                    self._queued_keys.pop(key, None)
+            key = self._batch_key_of(pending)
+            if key is not None:
+                _bump(self._queued_keys, key, sign)
 
     def submit_problem(self, problem: LDDPProblem, **kwargs) -> PendingSolve:
         """Shorthand: wrap ``problem`` in a :class:`SolveRequest` and submit."""
@@ -635,7 +614,7 @@ class SolveService:
                     return  # closed and drained
                 entry = heapq.heappop(self._queue)
                 pending = entry[-1]
-                self._note_dequeued(pending)
+                self._note_queued(pending, -1)
                 self._busy += 1
                 get_metrics().gauge("serve.queue.depth").set(len(self._queue))
             try:
@@ -874,7 +853,7 @@ class SolveService:
         while True:
             try:
                 result = (
-                    self._try_delta(pending, item, span, key, trail)
+                    self._try_delta(pending, item, span, trail)
                     if attempts == 0 else None
                 )
                 if result is None:
@@ -931,37 +910,42 @@ class SolveService:
             )
 
     def _delta_key_of(self, pending: PendingSolve) -> str | None:
-        """Memoized :func:`repro.delta.delta_key` for one request."""
+        """Memoized near-match key of one request, ``None`` if ineligible.
+
+        Eligible are cacheable requests that opted in with
+        ``ExecOptions.delta``, run a functional plan, are structurally
+        patchable (:func:`repro.delta.delta_applicable`) and meet a
+        :class:`ResultCache` — only it holds base payloads; the process
+        backend's segment index does not, so delta is a no-op there.
+        """
         memo = pending._delta_key
-        if memo is _BATCH_KEY_UNSET:
+        if memo is _UNSET:
             request = pending.request
-            memo = pending._delta_key = delta_key(
-                request.problem,
-                options=request.options or self.framework.options,
-                params=request.params,
-            )
+            options = request.options or self.framework.options
+            memo = None
+            if (
+                options.delta
+                and pending.effective_functional
+                and request.cacheable
+                and isinstance(self.cache, ResultCache)
+                and delta_applicable(request.problem, options) is None
+            ):
+                memo = delta_key(
+                    request.problem, options=options, params=request.params
+                )
+            pending._delta_key = memo
         return memo
 
     def _try_delta(
-        self, pending: PendingSolve, item: BatchItem, span, key, trail: list
+        self, pending: PendingSolve, item: BatchItem, span, trail: list
     ) -> SolveResult | None:
         """Serve an exact-cache miss by patching a near-match base, if any.
 
         Returns the patched result (bit-identical to a fresh solve), or
-        ``None`` — either because the request is not a delta candidate (no
-        opt-in, no base cached, structurally ineligible) or because the
-        patch degraded onto ``trail``. Only the thread backend's
-        :class:`ResultCache` holds base payloads; the process backend's
-        segment index does not, so delta is silently a no-op there.
+        ``None`` — either because the request is not a delta candidate
+        (ineligible, or no base cached) or because the patch degraded onto
+        ``trail``.
         """
-        if key is None or not isinstance(self.cache, ResultCache):
-            return None
-        request = pending.request
-        options = request.options or self.framework.options
-        if not options.delta or not pending.effective_functional:
-            return None
-        if delta_applicable(request.problem, options) is not None:
-            return None
         dkey = self._delta_key_of(pending)
         if dkey is None:
             return None
@@ -969,6 +953,7 @@ class SolveService:
         if base is None:
             return None
         base_payload, base_result = base
+        request = pending.request
         result = attempt(
             trail, "delta",
             lambda: delta_patch(
@@ -987,30 +972,17 @@ class SolveService:
             span.set(delta=True)
         return result
 
-    def _base_key_for(
-        self, pending: PendingSolve, result: SolveResult
-    ) -> str | None:
-        """The near-match key to register ``result`` under, or ``None``.
-
-        Any cacheable functional result of a delta-enabled request becomes
-        a base — including delta-patched results, so edit chains keep
-        patching against the freshest table instead of the original.
-        """
-        request = pending.request
-        options = request.options or self.framework.options
-        if not options.delta or not isinstance(self.cache, ResultCache):
-            return None
-        if not pending.effective_functional or result.table is None:
-            return None
-        if delta_applicable(request.problem, options) is not None:
-            return None
-        return self._delta_key_of(pending)
-
     def _finish(self, pending: PendingSolve, span, key, result: SolveResult) -> None:
         """Cache, count and resolve one successfully executed request."""
         metrics = get_metrics()
         if key is not None:
-            base_key = self._base_key_for(pending, result)
+            # Any functional result of a delta-eligible request becomes a
+            # base — delta-patched ones too, so edit chains keep patching
+            # against the freshest table instead of the original.
+            base_key = (
+                self._delta_key_of(pending) if result.table is not None
+                else None
+            )
             if base_key is not None:
                 # Register the result as a delta base: the request's payload
                 # is already a frozen snapshot (SolveRequest freezes it), so
@@ -1043,7 +1015,7 @@ class SolveService:
         tier.
         """
         memo = pending._batch_key
-        if memo is _BATCH_KEY_UNSET:
+        if memo is _UNSET:
             request = pending.request
             memo = pending._batch_key = batch_key(
                 request.problem,
@@ -1064,19 +1036,13 @@ class SolveService:
         # late arrival at its marginal (coalesced) cost, not full freight.
         if self.slo is not None:
             with self._lock:
-                self._active_batch_keys[key] = (
-                    self._active_batch_keys.get(key, 0) + 1
-                )
+                _bump(self._active_batch_keys, key, 1)
         try:
             self._process([leader] + self._drain_compatible(leader, key))
         finally:
             if self.slo is not None:
                 with self._lock:
-                    count = self._active_batch_keys.get(key, 0) - 1
-                    if count > 0:
-                        self._active_batch_keys[key] = count
-                    else:
-                        self._active_batch_keys.pop(key, None)
+                    _bump(self._active_batch_keys, key, -1)
 
     def _drain_compatible(self, leader: PendingSolve, key: str) -> list[PendingSolve]:
         """Pull batch-compatible requests off the queue for up to the window.
@@ -1101,7 +1067,7 @@ class SolveService:
                         and self._batch_key_of(entry[-1]) == key
                     ):
                         members.append(entry[-1])
-                        self._note_dequeued(entry[-1])
+                        self._note_queued(entry[-1], -1)
                         took = True
                     else:
                         keep.append(entry)

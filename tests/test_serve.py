@@ -129,6 +129,28 @@ class TestDeterminism:
             assert res.table is None
             assert res.simulated_time == direct.simulated_time
 
+    def test_undeclared_linear_twin_is_not_served_the_scan_result(self):
+        """A twin that differs only in its ``linear`` declaration runs the
+        wavefront tiers, not the scan tier: the cache must tell the two
+        apart, so the served twin equals a fresh solve of the twin."""
+        from dataclasses import fields
+
+        from repro.problems.prefix_sum import make_prefix_sum, prefix_sum_cell
+
+        declared = make_prefix_sum(64, seed=3)
+        twin = LDDPProblem(
+            **{f.name: getattr(declared, f.name) for f in fields(declared)
+               if f.name not in ("cell", "linear")},
+            cell=prefix_sum_cell, linear=None,
+        )
+        direct = Framework(hetero_high()).solve(twin)
+        with SolveService(hetero_high(), config=ServiceConfig(workers=1)) as svc:
+            assert svc.solve(declared).stats.get("solver") == "scan"
+            served = svc.solve(twin)
+        assert np.array_equal(served.table, direct.table)
+        assert served.stats.get("solver") == direct.stats.get("solver")
+        assert served.simulated_time == direct.simulated_time
+
     def test_distinct_options_do_not_share_entries(self):
         from repro import ExecOptions
 

@@ -613,6 +613,33 @@ class TestCoalescedPricing:
             assert "coalesced" not in attrs
 
 
+class TestDeltaPricing:
+    def test_only_patchable_edits_are_priced_as_patches(self):
+        """With a near-match base cached, an edit is priced as the delta
+        patch it will run — but an uncacheable edit never patches, so it
+        runs (and must be priced as) a full solve."""
+        from dataclasses import replace
+
+        from repro import ExecOptions
+        from repro.problems import make_levenshtein
+
+        options = ExecOptions(delta=True)
+        base = make_levenshtein(256)
+        a = base.payload["a"].copy()
+        a[-1] += 1
+        edited = replace(base, payload=dict(base.payload, a=a))
+        cfg = ServiceConfig(workers=1, options=options, slo=strict_policy())
+        with SolveService(config=cfg) as svc:
+            svc.submit(SolveRequest(base)).result()
+            full = svc._pricer.units(edited, options=options,
+                                     executor="hetero")
+            patch = svc.submit(SolveRequest(edited))
+            whole = svc.submit(SolveRequest(edited, cacheable=False))
+            patch.result(), whole.result()
+        assert whole._units == pytest.approx(full)
+        assert patch._units < full / 5
+
+
 class TestEDFScheduling:
     def test_tighter_deadline_runs_first(self):
         gate = threading.Event()
